@@ -3,7 +3,7 @@
 
 The paper's building blocks are per-host; this demo is what they buy at
 datacenter scale.  A :class:`repro.Fleet` runs eight managed hosts on one
-lockstep clock; a seeded churn workload (tenants "come and go", §3.2)
+shared clock; a seeded churn workload (tenants "come and go", §3.2)
 lands on hosts picked by the headroom-aware cluster scheduler; then a NIC
 uplink on a loaded host is failed, local recovery exhausts its options,
 and the placement is *live-migrated* to a healthy host — release on the
@@ -39,7 +39,9 @@ def main() -> None:
     victim = fleet.host(victim_id)
     print(f"\nfailing pcie-nic0 on {victim_id} ...")
     FailureInjector(victim.network).fail_link("pcie-nic0")
-    fleet.run_until(fleet.now + 0.1)
+    fleet.advance_to(fleet.now + 0.1)
+    for host_id in fleet.host_ids():
+        fleet.wake(host_id)  # bring every host's local clock to fleet time
 
     print()
     print(fleet.planner.describe())

@@ -18,8 +18,7 @@ paper's tooling would be driven in production:
 * ``fleet run [--hosts N --policy P --seed S --clock C]`` — drive a
   multi-host fleet through a seeded churn workload under the cluster
   scheduler (``--clock event`` by default; ``lockstep`` for the
-  reference discipline; ``--parallel N`` shards the host simulations
-  across N worker processes with bit-identical outcomes);
+  reference discipline);
 * ``fleet replay [--trace FILE --hosts N --policy P --compare]`` —
   replay a datacenter trace (Alibaba-style CSV/JSON, or a seeded
   synthesized one when no file is given) against the fleet and print a
@@ -29,7 +28,7 @@ paper's tooling would be driven in production:
   replay, turning the report into an SLO-under-failure study;
   ``--slo`` arms continuous latency probes and appends the burn-rate
   monitor's report;
-* ``fleet slo [--hosts N --seed S --clock C --parallel N]`` — the
+* ``fleet slo [--hosts N --seed S --clock C]`` — the
   seeded latency-regression scenario: a host's links silently degrade
   under churn, the multi-window burn-rate alert names it, and the
   fleet live-migrates its sessions until attainment recovers (exit 1
@@ -53,6 +52,7 @@ import sys
 from typing import List, Optional
 
 from .diagnostics import hostperf, hostping, hosttrace, troubleshoot
+from .errors import HostNetError
 from .monitor import FailureInjector, HostMonitor
 from .sim import Engine, FabricNetwork
 from .topology import PRESETS, load_preset
@@ -287,28 +287,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _clamp_parallel(args: argparse.Namespace) -> Optional[int]:
-    """Validate ``--parallel`` against the machine.
-
-    Returns the (possibly clamped) worker count, ``None`` for serial.
-    Raises SystemExit(2) via the caller's return path for nonsense; a
-    request beyond ``os.cpu_count()`` is clamped with a warning — more
-    workers than cores only adds scheduling noise.
-    """
-    import os
-
-    parallel = getattr(args, "parallel", None)
-    if parallel is None:
-        return None
-    cores = os.cpu_count() or 1
-    if parallel > cores:
-        print(f"fleet: --parallel {parallel} exceeds the "
-              f"{cores} available core(s); clamping to {cores}",
-              file=sys.stderr)
-        return cores
-    return parallel
-
-
 def _make_fleet(args: argparse.Namespace):
     """A Fleet from the shared ``fleet`` CLI options."""
     from .fleet import Fleet
@@ -320,7 +298,6 @@ def _make_fleet(args: argparse.Namespace):
         max_attempts=args.max_attempts,
         rebalance_threshold=args.rebalance_threshold,
         clock=args.clock,
-        parallel=_clamp_parallel(args),
     )
 
 
@@ -332,10 +309,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ``fleet describe``: print a fresh fleet's layout."""
     if args.hosts < 1:
         print(f"fleet: --hosts must be >= 1, got {args.hosts}",
-              file=sys.stderr)
-        return 2
-    if getattr(args, "parallel", None) is not None and args.parallel < 1:
-        print(f"fleet: --parallel must be >= 1, got {args.parallel}",
               file=sys.stderr)
         return 2
     if args.fleet_command == "chaos":
@@ -392,7 +365,7 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
             seed=args.seed, hosts=args.hosts, topology=args.preset,
             policy=args.policy, clock=args.clock,
             failure_domains=args.domains, horizon=args.horizon,
-            faults=faults, parallel=_clamp_parallel(args),
+            faults=faults,
         )
     except FleetError as exc:
         print(f"fleet chaos: {exc}", file=sys.stderr)
@@ -434,8 +407,7 @@ def _cmd_fleet_slo(args: argparse.Namespace) -> int:
     except SloError as exc:
         print(f"fleet slo: {exc}", file=sys.stderr)
         return 2
-    report = run_latency_regression(
-        config, parallel=_clamp_parallel(args), clock=args.clock)
+    report = run_latency_regression(config, clock=args.clock)
     print(report.describe())
     injected = args.degrade_factor < 1.0
     closed = report.first_migration_time is not None
@@ -516,7 +488,6 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
             faults=schedule,
             rebalance_threshold=args.rebalance_threshold,
             failure_domains=args.domains,
-            parallel=_clamp_parallel(args),
         )
         print()
         print(comparison.describe())
@@ -533,8 +504,7 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
         fleet = Fleet(args.preset, hosts=args.hosts, policy=args.policy,
                       clock=args.clock, max_attempts=args.max_attempts,
                       rebalance_threshold=args.rebalance_threshold,
-                      failure_domains=args.domains,
-                      parallel=_clamp_parallel(args), slo=slo)
+                      failure_domains=args.domains, slo=slo)
         try:
             report = replay_trace(fleet, trace, config, faults=schedule)
             slo_text = (fleet.slo.describe()
@@ -653,12 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "hosts with pending work (fast, default); "
                             "'lockstep' advances every host each quantum "
                             "(reference)")
-        if p is not fleet_describe:
-            p.add_argument("--parallel", type=int, default=None,
-                           metavar="N",
-                           help="shard host simulations across N worker "
-                                "processes (deterministic: same outcome "
-                                "as serial; clamped to the core count)")
     for p in (fleet_run, fleet_replay, fleet_describe):
         p.add_argument("--rebalance-threshold", type=float, default=None,
                        help="peak-reserved skew that triggers a rebalance "
@@ -737,11 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(FLEET_CLOCKS),
                            help="fleet clock discipline (bit-identical "
                                 "outcome either way)")
-    fleet_slo.add_argument("--parallel", type=int, default=None,
-                           metavar="N",
-                           help="shard host simulations across N worker "
-                                "processes (deterministic: same outcome "
-                                "as serial)")
     fleet_slo.add_argument("--seed", type=int, default=0,
                            help="churn seed (fully deterministic)")
     fleet_slo.add_argument("--horizon", type=float, default=0.12,
@@ -782,7 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (:class:`~repro.errors.HostNetError`) escaping a
+    handler is bad input, not a crash: it prints one
+    ``repro: <Type>: <message>`` line to stderr and exits 2.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "presets": cmd_presets,
@@ -794,7 +758,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": cmd_chaos,
         "fleet": cmd_fleet,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except HostNetError as exc:
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

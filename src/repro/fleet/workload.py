@@ -14,6 +14,7 @@ per-link headroom admit the big intents that blind placement strands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +49,9 @@ class FleetChurnConfig:
             not truncation.  The arrival/size draws are unchanged — a
             drained run admits and rejects identically to an undrained
             one with the same seed.
+
+    ``horizon``, ``arrival_rate`` and ``mean_holding`` must be finite
+    and > 0; anything else raises :class:`~repro.errors.FleetError`.
     """
 
     seed: int = 0
@@ -60,6 +64,13 @@ class FleetChurnConfig:
     large_fraction: float = 0.2
     bidirectional_fraction: float = 0.25
     drain: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("horizon", "arrival_rate", "mean_holding"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise FleetError(
+                    f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass

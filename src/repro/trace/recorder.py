@@ -243,10 +243,6 @@ class Tracer:
         """Total records ever appended (including evicted ones)."""
         return self._recorded
 
-    def raw_records(self) -> List[tuple]:
-        """Snapshot of the raw ring contents (oldest first)."""
-        return list(self._buffer)
-
     def spans(self) -> List[SpanRecord]:
         """All retained spans, materialized, in completion order."""
         return [

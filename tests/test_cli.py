@@ -179,6 +179,22 @@ def test_fleet_rejects_bad_hosts(capsys):
     assert "--hosts" in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("fleet", "run", "--horizon", "-1"), "FleetError: horizon"),
+    (("fleet", "run", "--arrival-rate", "-5"), "FleetError: arrival_rate"),
+    (("fleet", "run", "--arrival-rate", "0"), "FleetError: arrival_rate"),
+    (("fleet", "run", "--max-attempts", "0"), "FleetError: max_attempts"),
+    (("fleet", "run", "--max-attempts", "-1"), "FleetError: max_attempts"),
+    (("fleet", "replay", "--tasks", "0"), "WorkloadError: "),
+])
+def test_fleet_library_errors_exit_2_with_one_line(capsys, argv, error):
+    code, out, err = run_cli_err(capsys, "--preset", "minimal", *argv)
+    assert code == 2
+    assert err.startswith(f"repro: {error}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert "Traceback" not in err
+
+
 def test_fleet_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["fleet"])

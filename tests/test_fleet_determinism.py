@@ -9,12 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MigrationError
+from repro.errors import FleetError, MigrationError
 from repro.fleet import Fleet, FleetChurnConfig, generate_events, run_churn
 from repro.core import pipe
 from repro.units import Gbps
 
 CONFIG = FleetChurnConfig(seed=11, horizon=0.08, arrival_rate=1500.0)
+
+
+@pytest.mark.parametrize("field", ["horizon", "arrival_rate",
+                                   "mean_holding"])
+@pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
+def test_churn_config_rejects_non_positive_knobs(field, bad):
+    # Unchecked, a negative arrival rate never reaches the horizon in
+    # generate_events and a zero one divides by zero.
+    with pytest.raises(FleetError, match=field):
+        FleetChurnConfig(**{field: bad})
 
 
 def fresh_fleet(**kwargs):

@@ -178,6 +178,14 @@ def test_max_attempts_bounds_probing():
     assert placed.host_id == "host01"
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+def test_max_attempts_must_be_none_or_positive_int(bad):
+    # Each would otherwise fail silently: 0 rejects every intent and -1
+    # slices the lowest-ranked host off every ranking.
+    with pytest.raises(FleetError, match="max_attempts"):
+        Fleet("minimal", hosts=2, max_attempts=bad)
+
+
 # -- telemetry rollups -------------------------------------------------------
 
 
