@@ -2,13 +2,12 @@
 
 Timed hot paths feeding the regression gate (``compare_benchmarks.py``):
 
-* seeded 16-host churn runs under the headroom-aware ``best-fit`` policy,
-  once on the event-driven fleet clock (the default — only hosts with
-  pending work are woken) and once on the lockstep reference discipline —
-  the macro cost of the whole fleet layer (clock, push-invalidated
-  telemetry, bounded probing, admission);
-* a 256-host churn on the event clock — the scale the event discipline
-  exists for, where lockstep's O(hosts x quanta) floor starts to bite;
+* seeded 16-host churn runs under the headroom-aware ``best-fit`` and
+  blind ``first-fit`` policies on the event-driven fleet clock (only
+  hosts with pending work are woken) — the macro cost of the whole fleet
+  layer (clock, push-invalidated telemetry, bounded probing, admission);
+* a 256-host churn — the scale the event clock exists for, where a
+  lockstep metronome's O(hosts x quanta) floor would bite;
 * the scheduler's submit/release fast path and one push-invalidated
   headroom recompute — the micro costs a fleet pays per decision.
 
@@ -38,9 +37,9 @@ BIG_CHURN = FleetChurnConfig(seed=3, horizon=0.05, arrival_rate=8000.0,
 REJECTION = {}
 
 
-def churn_rejection_rate(policy, clock="event", hosts=HOSTS, churn=CHURN):
+def churn_rejection_rate(policy, hosts=HOSTS, churn=CHURN):
     fleet = Fleet("cascade_lake_2s", hosts=hosts, policy=policy,
-                  clock=clock, max_attempts=MAX_ATTEMPTS)
+                  max_attempts=MAX_ATTEMPTS)
     report = run_churn(fleet, churn)
     fleet.shutdown()
     assert report.submitted > 300  # the workload actually ran
@@ -56,20 +55,6 @@ def test_fleet_churn_16_hosts_best_fit(benchmark):
 def test_fleet_churn_16_hosts_first_fit(benchmark):
     REJECTION["first-fit"] = benchmark.pedantic(
         churn_rejection_rate, args=("first-fit",), rounds=2, iterations=1
-    )
-
-
-def test_fleet_churn_16_hosts_lockstep(benchmark):
-    """The lockstep reference on the identical workload.  Its rejection
-    rate must match the event clock's bit-for-bit — the equivalence the
-    seeded suite in tests/test_fleet_clock.py asserts per-ledger."""
-    rate = benchmark.pedantic(
-        churn_rejection_rate, args=("best-fit", "lockstep"),
-        rounds=2, iterations=1,
-    )
-    assert rate == REJECTION["best-fit"], (
-        f"lockstep rejected {rate:.1%} vs event {REJECTION['best-fit']:.1%}"
-        " on the same seed — the clocks have diverged"
     )
 
 

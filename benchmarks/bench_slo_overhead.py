@@ -60,7 +60,7 @@ SCENARIO = LatencyRegressionConfig(seed=0, hosts=4, horizon=0.08,
 
 def _build(slo):
     return Fleet("cascade_lake_2s", hosts=HOSTS, policy="best-fit",
-                 clock="event", max_attempts=MAX_ATTEMPTS, slo=slo)
+                 max_attempts=MAX_ATTEMPTS, slo=slo)
 
 
 def _churn_with_slo(slo):

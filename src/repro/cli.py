@@ -15,10 +15,8 @@ paper's tooling would be driven in production:
 * ``chaos run [--seed N --faults K]`` — seeded randomized fault campaign
   against a resilient host, audited by the invariant oracle (exit 1 on
   any violation);
-* ``fleet run [--hosts N --policy P --seed S --clock C]`` — drive a
-  multi-host fleet through a seeded churn workload under the cluster
-  scheduler (``--clock event`` by default; ``lockstep`` for the
-  reference discipline);
+* ``fleet run [--hosts N --policy P --seed S]`` — drive a multi-host
+  fleet through a seeded churn workload under the cluster scheduler;
 * ``fleet replay [--trace FILE --hosts N --policy P --compare]`` —
   replay a datacenter trace (Alibaba-style CSV/JSON, or a seeded
   synthesized one when no file is given) against the fleet and print a
@@ -28,7 +26,7 @@ paper's tooling would be driven in production:
   replay, turning the report into an SLO-under-failure study;
   ``--slo`` arms continuous latency probes and appends the burn-rate
   monitor's report;
-* ``fleet slo [--hosts N --seed S --clock C]`` — the
+* ``fleet slo [--hosts N --seed S]`` — the
   seeded latency-regression scenario: a host's links silently degrade
   under churn, the multi-window burn-rate alert names it, and the
   fleet live-migrates its sessions until attainment recovers (exit 1
@@ -297,7 +295,6 @@ def _make_fleet(args: argparse.Namespace):
         policy=args.policy,
         max_attempts=args.max_attempts,
         rebalance_threshold=args.rebalance_threshold,
-        clock=args.clock,
     )
 
 
@@ -363,9 +360,8 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
     try:
         config = FleetChaosConfig(
             seed=args.seed, hosts=args.hosts, topology=args.preset,
-            policy=args.policy, clock=args.clock,
-            failure_domains=args.domains, horizon=args.horizon,
-            faults=faults,
+            policy=args.policy, failure_domains=args.domains,
+            horizon=args.horizon, faults=faults,
         )
     except FleetError as exc:
         print(f"fleet chaos: {exc}", file=sys.stderr)
@@ -375,8 +371,8 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
     if args.report is not None:
         import json
 
-        payload = dict(report.outcome_dict(), clock=args.clock,
-                       hosts=args.hosts, passed=report.passed)
+        payload = dict(report.outcome_dict(), hosts=args.hosts,
+                       passed=report.passed)
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -407,7 +403,7 @@ def _cmd_fleet_slo(args: argparse.Namespace) -> int:
     except SloError as exc:
         print(f"fleet slo: {exc}", file=sys.stderr)
         return 2
-    report = run_latency_regression(config, clock=args.clock)
+    report = run_latency_regression(config)
     print(report.describe())
     injected = args.degrade_factor < 1.0
     closed = report.first_migration_time is not None
@@ -483,7 +479,7 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
 
         comparison = compare_policies(
             trace, sorted(PLACEMENT_POLICIES),
-            topology=args.preset, hosts=args.hosts, clock=args.clock,
+            topology=args.preset, hosts=args.hosts,
             max_attempts=args.max_attempts, config=config,
             faults=schedule,
             rebalance_threshold=args.rebalance_threshold,
@@ -502,7 +498,7 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
 
             slo = SloConfig.default(bound=us(args.slo_bound))
         fleet = Fleet(args.preset, hosts=args.hosts, policy=args.policy,
-                      clock=args.clock, max_attempts=args.max_attempts,
+                      max_attempts=args.max_attempts,
                       rebalance_threshold=args.rebalance_threshold,
                       failure_domains=args.domains, slo=slo)
         try:
@@ -584,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--events", action="store_true",
                            help="print the full inject/repair timeline")
 
-    from .fleet import FLEET_CLOCKS, PLACEMENT_POLICIES
+    from .fleet import PLACEMENT_POLICIES
 
     fleet = sub.add_parser("fleet", help="multi-host cluster layer")
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
@@ -617,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(PLACEMENT_POLICIES),
                        help="placement policy (underscore spellings "
                             "accepted)")
-        p.add_argument("--clock", default="event",
-                       choices=sorted(FLEET_CLOCKS),
-                       help="fleet clock discipline: 'event' wakes only "
-                            "hosts with pending work (fast, default); "
-                            "'lockstep' advances every host each quantum "
-                            "(reference)")
     for p in (fleet_run, fleet_replay, fleet_describe):
         p.add_argument("--rebalance-threshold", type=float, default=None,
                        help="peak-reserved skew that triggers a rebalance "
@@ -697,10 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_slo.add_argument("--hosts", type=int, default=4,
                            help="number of hosts in the fleet")
-    fleet_slo.add_argument("--clock", default="event",
-                           choices=sorted(FLEET_CLOCKS),
-                           help="fleet clock discipline (bit-identical "
-                                "outcome either way)")
     fleet_slo.add_argument("--seed", type=int, default=0,
                            help="churn seed (fully deterministic)")
     fleet_slo.add_argument("--horizon", type=float, default=0.12,

@@ -1,7 +1,7 @@
 """``repro.fleet`` — the multi-host cluster layer.
 
 Composes many :class:`~repro.host.Host` sessions into one schedulable
-fleet: event-driven (or lockstep) clock coordination (:class:`Fleet`,
+fleet: event-driven clock coordination (:class:`Fleet`,
 :class:`FleetClock`), push-invalidated per-host headroom rollups
 (:class:`FleetTelemetry`), headroom-aware admission with pluggable
 policies ranked over a vectorized matrix (:class:`ClusterScheduler`), and
@@ -15,13 +15,7 @@ chaos-campaign harness (:func:`run_fleet_campaign`).  See DESIGN.md
 """
 
 from .chaos import FleetChaosConfig, FleetChaosReport, run_fleet_campaign
-from .clock import (
-    FLEET_CLOCKS,
-    EventDrivenFleetClock,
-    FleetClock,
-    LockstepFleetClock,
-    make_clock,
-)
+from .clock import EventDrivenFleetClock, FleetClock, LockstepFleetClock
 from .cluster import Fleet
 from .faults import (
     FleetFaultConfig,
@@ -62,8 +56,6 @@ __all__ = [
     "FleetClock",
     "LockstepFleetClock",
     "EventDrivenFleetClock",
-    "FLEET_CLOCKS",
-    "make_clock",
     "FleetTelemetry",
     "HeadroomMatrix",
     "HostHeadroom",

@@ -11,10 +11,10 @@ action and at campaign end.
 
 Everything is a pure function of the config: the workload, the fault
 schedule, the evacuation decisions, the retry backoffs.
-:attr:`FleetChaosReport.outcome_json` deliberately excludes the clock
-discipline, so the equivalence property — same seed, bit-identical
-outcomes on the event-driven and lockstep clocks — is one string
-comparison (asserted across ≥20 seeds in ``tests/test_fleet_chaos.py``).
+:attr:`FleetChaosReport.outcome_json` excludes host-event counts, so
+the equivalence property — same seed, bit-identical outcomes on the
+event-driven clock and the lockstep oracle — is one string comparison
+(asserted across ≥20 seeds in ``tests/test_fleet_chaos.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class FleetChaosConfig:
         hosts: Fleet size.
         topology: Per-host topology preset.
         policy: Placement policy name.
-        clock: Fleet clock discipline (``"event"`` or ``"lockstep"``).
         max_attempts: Per-intent host-probe bound.
         failure_domains: Failure domains to spread hosts over.
         horizon: Simulated seconds of churn.
@@ -66,7 +65,6 @@ class FleetChaosConfig:
     hosts: int = 8
     topology: str = "cascade_lake_2s"
     policy: str = "best-fit"
-    clock: str = "event"
     max_attempts: Optional[int] = 4
     failure_domains: int = 4
     horizon: float = 0.3
@@ -129,10 +127,11 @@ class FleetChaosReport:
     def outcome_dict(self) -> Dict:
         """The campaign's clock-independent outcome.
 
-        Excludes the clock discipline and host-event counts (lockstep
-        legitimately processes more idle boundary work); everything else
-        — every admission, evacuation, shed, and final placement — must
-        be bit-identical for the same seed on both clocks.
+        Excludes host-event counts (the lockstep oracle legitimately
+        processes more idle boundary work); everything else — every
+        admission, evacuation, shed, and final placement — must be
+        bit-identical for the same seed on the event clock and the
+        oracle.
         """
         return {
             "seed": self.config.seed,
@@ -158,7 +157,7 @@ class FleetChaosReport:
         r = self.recovery_counters
         lines = [
             f"fleet chaos (seed={self.config.seed}, "
-            f"hosts={self.config.hosts}, clock={self.config.clock}): "
+            f"hosts={self.config.hosts}): "
             f"{'PASS' if self.passed else 'FAIL'}",
             f"  workload: {self.submitted} submitted, "
             f"{self.admitted} admitted, {self.rejected} rejected, "
@@ -189,7 +188,7 @@ def run_fleet_campaign(config: Optional[FleetChaosConfig] = None,
 
     Builds the fleet, derives the fault schedule, and drives the seeded
     churn workload through the injector's time loop (so fault and retry
-    interleavings are identical on both clock disciplines).  The
+    interleavings are identical on the event clock and the oracle).  The
     invariant oracle runs after every fault action and once at the end;
     any violation fails the campaign but never aborts it — the report
     carries the full list.
@@ -199,7 +198,6 @@ def run_fleet_campaign(config: Optional[FleetChaosConfig] = None,
     fleet = Fleet(
         config.topology,
         hosts=config.hosts,
-        clock=config.clock,
         policy=config.policy,
         max_attempts=config.max_attempts,
         failure_domains=config.failure_domains,
@@ -253,7 +251,7 @@ def run_fleet_campaign(config: Optional[FleetChaosConfig] = None,
                     recovery.cancel(intent_id)
         # Run out the clock past the last repair so every fault heals
         # and every retry resolves before the final audit.
-        end = max(config.horizon, schedule.end_time) + fleet.clock_quantum
+        end = max(config.horizon, schedule.end_time) + fleet.clock.quantum
         report.host_events += injector.advance_to(end)
 
         report.audits += 1

@@ -1,41 +1,48 @@
-"""Fleet clock coordination: one protocol, two disciplines.
+"""Fleet clock coordination: one event loop, one lockstep oracle.
 
 Every host keeps its own discrete-event engine; the fleet needs a policy
 for *when* each engine runs.  :class:`FleetClock` is that policy surface —
 ``advance_to(t)`` moves fleet time forward, ``wake(host_id, t)`` brings a
 single host's local clock up to fleet time before the fleet touches it.
-Two disciplines implement it:
 
-* :class:`LockstepFleetClock` — the original coordinator: every host is
-  advanced quantum by quantum in host-id order, and the fleet's control
-  loop (:meth:`~repro.fleet.migration.MigrationPlanner.control`) runs at
-  every quantum boundary.  Cost is O(hosts × quanta) regardless of load.
-* :class:`EventDrivenFleetClock` — a fleet-level event heap keyed by each
-  host's next pending event: only hosts with work are woken, idle hosts
-  fast-forward lazily (their local clocks catch up on the next ``wake``).
-  This is the SimBricks-style discipline — synchronize at interaction
-  points, not on a global metronome — and it is what makes 256-host fleets
-  tractable.
+Every :class:`~repro.fleet.cluster.Fleet` runs on
+:class:`EventDrivenFleetClock`: a fleet-level event heap keyed by each
+host's next pending event.  Only hosts with work are woken; idle hosts
+fast-forward lazily (their local clocks catch up on the next ``wake``).
+This is the SimBricks-style discipline — synchronize at interaction
+points, not on a global metronome — and it is what makes 256-host fleets
+tractable.
 
-The event-driven clock is seed-deterministic: the heap orders ties by
-``(time, host_id)``, and hosts share no fabric state, so the outcome of a
-seeded churn run is identical to lockstep (asserted across ≥20 seeds in
-``tests/test_fleet_clock.py``).  Whenever fleet-level control must observe
-exact quantum cadence — a rebalance threshold is armed, any host runs a
-recovery controller, or escalations are queued — the event clock falls
-back to lockstep boundaries for the advance, preserving the ordering of
-escalation draining and rebalance moves bit-for-bit.
+The fleet's control loop (:meth:`~repro.fleet.migration.MigrationPlanner
+.control`) is one such interaction point.  It runs at the quantum
+boundaries a lockstep metronome would visit — ``now + quantum``,
+``+ quantum`` again, ..., capped at the advance target — but the event
+clock stops at a boundary only when control has work there: an
+escalation is queued or a rebalance threshold is armed.  Escalations
+raised within one quantum are handed over in host-id order, the order a
+host-by-host sweep raises them in.
+
+:class:`LockstepFleetClock` is that metronome: every host advanced
+quantum by quantum in host-id order, control at every boundary.  It is
+the reference oracle the event clock is equivalence-tested against
+(bit-identical placements, ledgers and planner records across ≥20 seeds
+in ``tests/test_fleet_clock.py``); no fleet selects it in production.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple, Type, Union, TYPE_CHECKING
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..errors import ClockError, FleetError
+from ..errors import ClockError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import Fleet
+
+#: Fleet-control granularity in simulated seconds: the spacing of the
+#: quantum boundaries at which :meth:`MigrationPlanner.control` may run.
+QUANTUM = 0.001
 
 #: Floating-point slack when comparing fleet-clock boundaries.
 _CLOCK_EPS = 1e-12
@@ -46,17 +53,12 @@ class FleetClock:
 
     Args:
         fleet: The fleet whose hosts this clock advances.
-        quantum: Lockstep granularity in simulated seconds (the event
-            clock uses it only when falling back to boundary cadence).
         start: Initial fleet time.
     """
 
-    name = "abstract"
-
-    def __init__(self, fleet: "Fleet", quantum: float,
-                 start: float = 0.0) -> None:
+    def __init__(self, fleet: "Fleet", start: float = 0.0) -> None:
         self.fleet = fleet
-        self.quantum = quantum
+        self.quantum = QUANTUM
         self._now = start
         # Fleet membership is fixed at construction; resolving engines
         # once keeps the per-event hot path free of host lookups.
@@ -90,9 +92,9 @@ class FleetClock:
         """Unfreeze *host_id* and catch its local clock up to fleet time.
 
         The backlog accumulated while frozen (periodic arbiter ticks and
-        so on) replays in one burst at reactivation — identically under
-        both clock disciplines, since both see the same fleet time here.
-        Returns the number of host events processed catching up.
+        so on) replays in one burst at reactivation — identically on the
+        event clock and the oracle, since both see the same fleet time
+        here.  Returns the number of host events processed catching up.
         """
         self._inactive.discard(host_id)
         return self.wake(host_id)
@@ -137,8 +139,21 @@ class FleetClock:
         deferred to the host's next wake.  Lockstep needs no hint.
         """
 
-    def _advance_lockstep(self, t: float) -> int:
-        """Quantum-by-quantum advance with control at every boundary."""
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(t={self._now:.6f}s)"
+
+
+class LockstepFleetClock(FleetClock):
+    """Advance every host in lockstep, one quantum at a time.
+
+    Deterministic and simple — and O(hosts × quanta) even when nothing is
+    happening.  The reference oracle the event-driven clock is
+    equivalence-tested against: fleet control runs at every boundary
+    unconditionally.
+    """
+
+    def advance_to(self, t: float) -> int:
+        self._check_target(t)
         processed = 0
         while self._now < t - _CLOCK_EPS:
             boundary = min(t, self._now + self.quantum)
@@ -149,25 +164,6 @@ class FleetClock:
             self._now = boundary
             self.fleet.planner.control()
         return processed
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(t={self._now:.6f}s)"
-
-
-class LockstepFleetClock(FleetClock):
-    """Advance every host in lockstep, one quantum at a time.
-
-    Deterministic and simple — and O(hosts × quanta) even when nothing is
-    happening.  Kept as the reference discipline the event-driven clock
-    is equivalence-tested against, and for workloads that want fleet
-    control at every boundary unconditionally.
-    """
-
-    name = "lockstep"
-
-    def advance_to(self, t: float) -> int:
-        self._check_target(t)
-        return self._advance_lockstep(t)
 
 
 class EventDrivenFleetClock(FleetClock):
@@ -181,17 +177,15 @@ class EventDrivenFleetClock(FleetClock):
     until the next :meth:`wake` — which every fleet-surface interaction
     performs first — so an idle host costs nothing per advance.
 
-    When exact boundary cadence matters (rebalance armed, any recovery
-    controller attached, escalations queued) the advance transparently
-    uses the lockstep discipline instead, so escalation and rebalance
-    ordering is identical to :class:`LockstepFleetClock`.
+    Fleet control runs as a boundary step: when escalations are queued or
+    rebalancing is armed, the advance runs the heap to the next quantum
+    boundary, lands fleet time on it, and calls
+    :meth:`~repro.fleet.migration.MigrationPlanner.control` there —
+    exactly where :class:`LockstepFleetClock` would.
     """
 
-    name = "event"
-
-    def __init__(self, fleet: "Fleet", quantum: float,
-                 start: float = 0.0) -> None:
-        super().__init__(fleet, quantum, start)
+    def __init__(self, fleet: "Fleet", start: float = 0.0) -> None:
+        super().__init__(fleet, start)
         self._heap: List[Tuple[float, str]] = []
         # One representative in-heap entry per host: pushing a peek that
         # is already queued is pure churn (stale entries cost two
@@ -200,17 +194,10 @@ class EventDrivenFleetClock(FleetClock):
         # fleet-surface wake would otherwise push a duplicate.
         self._queued: Dict[str, float] = {}
         self._primed = False
-        # Recovery controllers are attached at host construction and the
-        # fleet's membership is fixed, so one scan decides forever whether
-        # boundary cadence is needed for recovery ordering.
-        self._any_recovery = any(host.recovery is not None
-                                 for _host_id, host in fleet.hosts())
 
     # -- heap maintenance --------------------------------------------------
 
     def _prime(self) -> None:
-        self._heap = []
-        self._queued = {}
         for host_id, engine in self._engines.items():
             if host_id in self._inactive:
                 continue  # crashed hosts never enter the heap
@@ -261,27 +248,62 @@ class EventDrivenFleetClock(FleetClock):
 
     # -- the advance -------------------------------------------------------
 
-    def _needs_boundaries(self) -> bool:
-        planner = self.fleet.planner
-        if planner.rebalance_threshold is not None:
-            return True
-        if planner.pending_escalations:
-            return True
-        return self._any_recovery
-
     def advance_to(self, t: float) -> int:
         self._check_target(t)
-        if self._needs_boundaries():
-            # Boundary cadence: host clocks all land on fleet time, so
-            # the lazy heap is rebuilt on the next pure-event advance.
-            self._primed = False
-            return self._advance_lockstep(t)
         if not self._primed:
             self._prime()
+        if not self._now < t - _CLOCK_EPS:
+            # No boundary within reach (t is now, or within float slack
+            # of it): run what is due, but no control — nor does
+            # lockstep.
+            processed = self._run_heap(t)[0]
+            if t > self._now:
+                self._now = t
+            return processed
+        planner = self.fleet.planner
+        escalations = planner.escalations
+        boundary = self._now
+        processed = 0
+        while boundary < t - _CLOCK_EPS:
+            if planner.rebalance_threshold is None and not escalations:
+                # Control has nothing to do: run straight to t, unless
+                # an event on the way queues an escalation.
+                ran, raised_at = self._run_heap(t, escalations)
+                processed += ran
+                if raised_at is None:
+                    self._now = t
+                    return processed
+                # Control drains it at the end of the quantum holding
+                # the event that raised it (at least one quantum on:
+                # an event at the last boundary belongs to the next).
+                boundary = min(t, boundary + self.quantum)
+                while boundary < raised_at:
+                    boundary = min(t, boundary + self.quantum)
+                first = 0
+            else:
+                boundary = min(t, boundary + self.quantum)
+                first = len(escalations)
+            processed += self._run_heap(boundary)[0]
+            self._now = boundary
+            # Lockstep's host-by-host sweep raises a quantum's
+            # escalations in host order (time order within a host).
+            escalations[first:] = sorted(escalations[first:],
+                                         key=itemgetter(0))
+            planner.control()
+        return processed
+
+    def _run_heap(self, t: float, watch: Optional[list] = None,
+                  ) -> Tuple[int, Optional[float]]:
+        """Run every host event due at or before *t* in ``(time,
+        host_id)`` order — ``<= t`` exactly, as ``Engine.run_until``.
+
+        With *watch* (an empty escalation queue), stop after the first
+        entry that queues an escalation and return its time as well.
+        """
         heap = self._heap
         engines = self._engines
         processed = 0
-        while heap and heap[0][0] <= t + _CLOCK_EPS:
+        while heap and heap[0][0] <= t:
             t_ev, host_id = heap[0]
             if host_id in self._inactive:
                 # Crashed since this entry was pushed: lazily evicted.
@@ -304,27 +326,6 @@ class EventDrivenFleetClock(FleetClock):
             nxt = engine.peek_time()
             if nxt is not None:
                 self._push_peek(host_id, nxt)
-        if t > self._now:
-            self._now = t
-        return processed
-
-
-#: Registry used by the CLI and the Fleet constructor.
-FLEET_CLOCKS = {
-    LockstepFleetClock.name: LockstepFleetClock,
-    EventDrivenFleetClock.name: EventDrivenFleetClock,
-}
-
-
-def make_clock(clock: Union[str, Type[FleetClock]], fleet: "Fleet",
-               quantum: float, start: float = 0.0) -> FleetClock:
-    """Resolve a clock name (or a FleetClock subclass) to an instance."""
-    if isinstance(clock, type) and issubclass(clock, FleetClock):
-        return clock(fleet, quantum, start)
-    try:
-        return FLEET_CLOCKS[clock](fleet, quantum, start)
-    except (KeyError, TypeError):
-        raise FleetError(
-            f"unknown fleet clock {clock!r}; "
-            f"choices: {sorted(FLEET_CLOCKS)}"
-        ) from None
+            if watch:
+                return processed, t_ev
+        return processed, None

@@ -5,10 +5,9 @@ scenarios — multi-tenant clouds, tenants that come and go, migration under
 a virtualized abstraction — only matter at datacenter scale.  ``Fleet``
 composes many :class:`~repro.host.Host` sessions into one cluster:
 
-* a :class:`~repro.fleet.clock.FleetClock` — by default the event-driven
-  discipline (only hosts with pending work are woken; idle hosts
-  fast-forward), with the original lockstep coordinator available as
-  ``clock="lockstep"``;
+* an :class:`~repro.fleet.clock.EventDrivenFleetClock` — only hosts with
+  pending work are woken, idle hosts fast-forward, and fleet control
+  runs at a quantum boundary only when it has work there;
 * a :class:`~repro.fleet.telemetry.FleetTelemetry` rollup of
   push-invalidated per-host headroom summaries feeding
 * a :class:`~repro.fleet.scheduler.ClusterScheduler` with pluggable
@@ -31,8 +30,9 @@ Quick start::
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.intents import PerformanceTarget
 from ..core.manager import Placement
@@ -47,7 +47,7 @@ from ..slo.probe import normalize_slo
 from ..topology.elements import LinkClass
 from ..topology.graph import HostTopology
 from ..topology.presets import load_preset
-from .clock import FleetClock, make_clock
+from .clock import EventDrivenFleetClock, FleetClock
 from .faults import FleetHealth
 from .migration import MigrationPlanner
 from .placement import PlacementPolicy
@@ -65,21 +65,13 @@ class Fleet:
             topologies carry mutable link state, so hosts must not share.
         hosts: How many hosts to build (ignored when *host_ids* given).
         host_ids: Explicit host ids; default ``host00..hostNN``.
-        clock: ``"event"`` (default), ``"lockstep"``, or a
-            :class:`~repro.fleet.clock.FleetClock` subclass.  The event
-            clock wakes only hosts with pending work and produces results
-            equivalent to lockstep on seeded workloads; lockstep advances
-            every host each quantum and runs fleet control at every
-            boundary unconditionally.
-        clock_quantum: Lockstep granularity in simulated seconds (the
-            event clock uses it when boundary cadence is required —
-            rebalancing armed or recovery controllers attached).
         policy: Placement policy name or instance (see
             :data:`~repro.fleet.placement.PLACEMENT_POLICIES`).
         max_attempts: Per-intent host-probe bound forwarded to the
             scheduler (``None`` probes every host).
         rebalance_threshold: Peak-reserved-fraction skew that triggers a
-            rebalance move at a boundary; ``None`` (default) disables.
+            rebalance move at a quantum boundary (finite, ``>= 0``);
+            ``None`` (default) disables.
         failure_domains: How many failure domains to spread hosts over
             (round-robin by sorted host id).  The fault model crashes
             and partitions whole domains; placement avoids faulted
@@ -111,8 +103,6 @@ class Fleet:
         hosts: int = 4,
         *,
         host_ids: Optional[Sequence[str]] = None,
-        clock: Union[str, Type[FleetClock]] = "event",
-        clock_quantum: float = 0.001,
         policy: Union[str, PlacementPolicy] = "best-fit",
         max_attempts: Optional[int] = None,
         rebalance_threshold: Optional[float] = None,
@@ -135,10 +125,11 @@ class Fleet:
                 return load_preset(preset)
         else:
             factory = topology
-        if clock_quantum <= 0:
+        if rebalance_threshold is not None and not (
+                0.0 <= rebalance_threshold < math.inf):
             raise FleetError(
-                f"clock_quantum must be > 0, got {clock_quantum}"
-            )
+                f"rebalance_threshold must be finite and >= 0, got "
+                f"{rebalance_threshold}")
         ids = list(host_ids) if host_ids else [
             f"host{i:02d}" for i in range(hosts)
         ]
@@ -175,7 +166,6 @@ class Fleet:
         #: The device-id vocabulary intents are written against.
         self.reference_topology = factory()
         self._reference_keys = canonical_device_keys(self.reference_topology)
-        self.clock_quantum = clock_quantum
         self._host_ids = sorted(ids)
         self._hosts: Dict[str, Host] = {}
         self._mappings: Dict[str, Dict[str, str]] = {}
@@ -196,8 +186,7 @@ class Fleet:
         self.planner = MigrationPlanner(
             self, self.scheduler, rebalance_threshold=rebalance_threshold,
         )
-        self.clock: FleetClock = make_clock(clock, self, clock_quantum,
-                                            start)
+        self.clock: FleetClock = EventDrivenFleetClock(self, start)
         for host_id, host in self._hosts.items():
             if host.recovery is not None:
                 host.recovery.on_escalation(
@@ -233,17 +222,16 @@ class Fleet:
 
     @property
     def now(self) -> float:
-        """Current fleet time (hosts may lag behind under the event
-        clock until their next :meth:`wake`)."""
+        """Current fleet time (idle hosts lag behind it until their
+        next :meth:`wake`)."""
         return self.clock.now
 
     def advance_to(self, t: float) -> int:
         """Advance fleet time to *t*, running host work due before it.
 
-        Under the event-driven clock only hosts with pending events are
-        woken; idle hosts fast-forward (their local clocks catch up at
-        the next fleet interaction).  Returns the number of host events
-        processed.
+        Only hosts with pending events are woken; idle hosts
+        fast-forward (their local clocks catch up at the next fleet
+        interaction).  Returns the number of host events processed.
 
         When ``slo=`` is armed this is also the SLO evaluation point:
         probe samples accumulated during the advance are drained from
@@ -265,7 +253,7 @@ class Fleet:
                 # at or after each grid point (probes buffer until
                 # drained), so gating on the exact grid skips only
                 # provably-empty drains and keeps the alert log
-                # bit-identical across clock disciplines.
+                # bit-identical to the lockstep oracle's.
                 fires, period = self._slo_fires, self._slo_period
                 due = self._slo_next_due
                 while due <= now:
@@ -335,8 +323,7 @@ class Fleet:
 
         Called after fleet-surface mutations (submit, release, migration
         legs) so events they schedule — arbiter enforcement, retries —
-        run at their due time under the event-driven clock rather than at
-        the host's next wake.
+        run at their due time rather than at the host's next wake.
         """
         self.clock.notify(host_id)
 
@@ -433,7 +420,7 @@ class Fleet:
 
     def ledger_signatures(self) -> Dict[str, tuple]:
         """Each host's sorted reservation map as a hashable signature —
-        the bit-identical equivalence key across clock disciplines."""
+        the bit-identical equivalence key against the lockstep oracle."""
         return {
             host_id: tuple(sorted(host.manager.ledger.reserved_map.items()))
             for host_id, host in self.hosts()
@@ -496,9 +483,7 @@ class Fleet:
         """Human-readable fleet summary."""
         lines = [
             f"Fleet of {len(self)} hosts on "
-            f"{self.reference_topology.name!r} @ t={self.now:.6f}s "
-            f"(clock={self.clock.name}, "
-            f"quantum={self.clock_quantum:g}s)"
+            f"{self.reference_topology.name!r} @ t={self.now:.6f}s"
         ]
         lines.append(self.scheduler.describe())
         lines.append(self.telemetry.describe())
@@ -510,6 +495,5 @@ class Fleet:
 
     def __repr__(self) -> str:
         return (f"Fleet(hosts={len(self)}, t={self.now:.6f}s, "
-                f"clock={self.clock.name}, "
                 f"policy={self.scheduler.policy.name}, "
                 f"intents={len(self.scheduler.placements())})")

@@ -86,7 +86,9 @@ class MigrationPlanner:
         self.rebalance_threshold = rebalance_threshold
         self.max_moves_per_tick = max_moves_per_tick
         self.records: List[MigrationRecord] = []
-        self._escalations: List[Tuple[str, str]] = []  # (host_id, intent_id)
+        #: ``(host_id, intent_id)`` escalations queued for the next
+        #: :meth:`control` pass, which drains the list in place.
+        self.escalations: List[Tuple[str, str]] = []
         #: Attached FleetRecoveryController (set by its constructor);
         #: receives sessions orphaned by a failed rollback.
         self.recovery = None
@@ -211,16 +213,7 @@ class MigrationPlanner:
         """Queue a placement local recovery gave up on (processed at the
         next quantum boundary, so escalations arriving mid-quantum stay
         deterministic)."""
-        self._escalations.append((host_id, intent_id))
-
-    @property
-    def pending_escalations(self) -> List[Tuple[str, str]]:
-        """Escalations queued but not yet drained by :meth:`control`.
-
-        The event-driven clock checks this to decide whether an advance
-        must observe exact quantum-boundary cadence.
-        """
-        return list(self._escalations)
+        self.escalations.append((host_id, intent_id))
 
     def rescue(self, intent_id: str) -> Optional[FleetPlacement]:
         """Move one failing placement to the best host that admits it.
@@ -311,12 +304,11 @@ class MigrationPlanner:
     def control(self) -> None:
         """One fleet-level pass: drain escalations, then maybe rebalance.
 
-        Called by the fleet clock at every quantum boundary (the event
-        clock falls back to boundary cadence whenever this pass could do
-        anything — escalations queued, rebalancing armed, or recovery
-        controllers attached).
+        Called by the fleet clock at a quantum boundary whenever this
+        pass has work: escalations queued or rebalancing armed.
         """
-        pending, self._escalations = self._escalations, []
+        pending = self.escalations[:]
+        self.escalations.clear()
         for _host_id, intent_id in pending:
             self.rescue(intent_id)
         if self.rebalance_threshold is not None:

@@ -179,9 +179,9 @@ def run_churn(fleet: Fleet,
               config: Optional[FleetChurnConfig] = None) -> FleetChurnReport:
     """Drive *fleet* through one seeded churn run.
 
-    The fleet advances to each event time under whatever clock discipline
-    it was built with (event-driven by default — same seeded results as
-    lockstep, without waking idle hosts); arrivals go through the cluster
+    The fleet advances to each event time on its event-driven clock
+    (same seeded results as the lockstep oracle, without waking idle
+    hosts); arrivals go through the cluster
     scheduler (rejections are final — no retry — so the rejection rate
     cleanly measures the placement policy), departures release whatever
     is still placed, wherever migration may have moved it.

@@ -11,9 +11,10 @@ with headroom, and SLO attainment recovers — the paper's §3.1 "observe
 it, then manage it" loop at fleet scale.
 
 Deterministic by construction: the churn stream, degrade instants, and
-evaluation boundaries are identical for both fleet-clock disciplines,
-so :meth:`LatencyRegressionReport.signature` is bit-identical across
-them for a given seed (pinned in ``tests/test_slo.py``).
+evaluation boundaries are identical on the event-driven fleet clock and
+the lockstep oracle, so :meth:`LatencyRegressionReport.signature` is
+bit-identical across them for a given seed (pinned in
+``tests/test_slo.py``).
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ class LatencyRegressionReport:
 
 def run_latency_regression(
     config: Optional[LatencyRegressionConfig] = None,
-    *,
-    clock: str = "event",
 ) -> LatencyRegressionReport:
     """Run one seeded regression scenario and report the closed loop."""
     # Imported here: repro.slo is imported by repro.fleet.cluster at
@@ -183,8 +182,7 @@ def run_latency_regression(
         message_size=config.message_size, keep_samples=True)
     fleet = Fleet(
         "cascade_lake_2s", hosts=config.hosts, policy="best-fit",
-        clock=clock, slo=slo,
-        slo_max_moves=config.max_moves)
+        slo=slo, slo_max_moves=config.max_moves)
     try:
         target = config.degrade_host or fleet.host_ids()[0]
         fleet.host(target)  # raises UnknownHostError

@@ -1,9 +1,9 @@
 """Replay a normalized :class:`ClusterTrace` against a :class:`Fleet`.
 
 The replay discipline mirrors ``repro.fleet.workload.run_churn`` — the
-fleet advances to each event time under whatever clock it was built with,
-so event-driven and lockstep runs see the identical interleaving — but a
-trace replay is a richer contract than churn:
+fleet advances to each event time, so the event-driven clock and the
+lockstep oracle see the identical interleaving — but a trace replay is a
+richer contract than churn:
 
 * **arrivals become placement intents.**  Each task maps to a pipe
   between deterministic reference-topology endpoints (stable task-id
@@ -27,7 +27,7 @@ trace replay is a richer contract than churn:
 The :class:`ReplayReport` serializes canonically (sorted keys, versioned
 tag, the trace's content digest embedded) — two reports are the same
 outcome iff their JSON strings are equal, which is how the determinism
-suite asserts event == lockstep bit-for-bit.
+suite asserts event clock == lockstep oracle bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -85,9 +86,15 @@ class ReplayConfig:
     samples: int = 32
 
     def __post_init__(self) -> None:
-        if self.slo_stretch < 1.0:
+        if not 1.0 <= self.slo_stretch < math.inf:
             raise WorkloadError(
-                f"slo_stretch must be >= 1, got {self.slo_stretch}"
+                f"slo_stretch must be finite and >= 1, got "
+                f"{self.slo_stretch}"
+            )
+        if not 0.0 <= self.max_wait_fraction < math.inf:
+            raise WorkloadError(
+                f"max_wait_fraction must be finite and >= 0, got "
+                f"{self.max_wait_fraction}"
             )
         if self.retry_backoff_fraction <= 0:
             raise WorkloadError(
@@ -154,7 +161,7 @@ class ReplayReport:
         trace_name / trace_digest: Which load this was (the digest is
             SHA-256 over the trace's canonical JSON, so "byte-identical
             load" is checkable from two reports alone).
-        policy / hosts / clock / max_attempts: The fleet configuration.
+        policy / hosts / max_attempts: The fleet configuration.
         config: The replay discipline used.
         submitted: Distinct tasks that arrived.
         admitted: Tasks eventually placed.
@@ -188,7 +195,6 @@ class ReplayReport:
     trace_digest: str
     policy: str
     hosts: int
-    clock: str
     max_attempts: Optional[int]
     config: ReplayConfig
     submitted: int = 0
@@ -257,7 +263,6 @@ class ReplayReport:
             "fleet": {
                 "policy": self.policy,
                 "hosts": self.hosts,
-                "clock": self.clock,
                 "max_attempts": self.max_attempts,
             },
             "replay": {
@@ -301,27 +306,14 @@ class ReplayReport:
         return json.dumps(self.as_dict(), sort_keys=True,
                           separators=(",", ":"))
 
-    def outcome_dict(self) -> Dict[str, object]:
-        """The report minus run metadata: everything that must be
-        *bit-identical* across clock disciplines.
-
-        Only the clock's name is metadata — every count, percentile, and
-        utilization sample is part of the event-clock-equals-lockstep
-        contract (``host_events`` included: both disciplines execute
-        exactly the events that are due, they differ only in who gets
-        woken when nothing is).
-        """
-        d = self.as_dict()
-        d["fleet"] = {k: v for k, v in d["fleet"].items()
-                      if k != "clock"}
-        return d
-
     def outcome_json(self) -> str:
-        """Canonical JSON of :meth:`outcome_dict` — two replays are the
-        same outcome iff these strings are equal (the cross-clock
-        determinism suite compares them verbatim)."""
-        return json.dumps(self.outcome_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """Canonical JSON of :meth:`as_dict` — two replays are the same
+        outcome iff these strings are equal.  Every count, percentile,
+        and utilization sample is part of the event-clock-equals-oracle
+        contract (``host_events`` included: both execute exactly the
+        events that are due, they differ only in who gets woken when
+        nothing is)."""
+        return self.to_json()
 
     def describe(self) -> str:
         """Human-readable run summary."""
@@ -331,7 +323,7 @@ class ReplayReport:
                   if self.utilization_samples else 0.0)
         lines = [
             f"replay {self.trace_name!r} on {self.hosts} hosts "
-            f"(policy={self.policy}, clock={self.clock}): "
+            f"(policy={self.policy}): "
             f"{self.submitted} tasks, {self.admitted} admitted, "
             f"{self.rejected} rejected ({self.rejection_rate:.1%}), "
             f"{self.retries} retries",
@@ -362,11 +354,11 @@ def replay_trace(fleet, trace: ClusterTrace,
                  faults=None, recovery=None) -> ReplayReport:
     """Drive *fleet* through *trace*; return the scored report.
 
-    The fleet advances to each event time under its own clock discipline
-    (event-driven by default; lockstep produces the bit-identical
-    report).  The replay queue is a heap, because retries are scheduled
-    dynamically — but every entry is a pure function of the trace and
-    the config, so the processing order is deterministic.
+    The fleet advances to each event time on its event-driven clock (the
+    lockstep oracle produces the bit-identical report).  The replay
+    queue is a heap, because retries are scheduled dynamically — but
+    every entry is a pure function of the trace and the config, so the
+    processing order is deterministic.
 
     Args:
         fleet: The fleet to drive.
@@ -417,7 +409,6 @@ def replay_trace(fleet, trace: ClusterTrace,
             trace.to_json().encode("utf-8")).hexdigest(),
         policy=fleet.scheduler.policy.name,
         hosts=len(fleet),
-        clock=fleet.clock.name,
         max_attempts=fleet.scheduler.max_attempts,
         config=config,
     )
@@ -595,7 +586,6 @@ def compare_policies(
     *,
     topology: Union[str, object] = "cascade_lake_2s",
     hosts: int = 16,
-    clock: str = "event",
     max_attempts: Optional[int] = 8,
     config: Optional[ReplayConfig] = None,
     faults=None,
@@ -616,7 +606,7 @@ def compare_policies(
     config = config or ReplayConfig()
     reports: Dict[str, ReplayReport] = {}
     for policy in policies:
-        fleet = Fleet(topology, hosts=hosts, policy=policy, clock=clock,
+        fleet = Fleet(topology, hosts=hosts, policy=policy,
                       max_attempts=max_attempts, **fleet_kwargs)
         try:
             report = replay_trace(fleet, trace, config, faults=faults)

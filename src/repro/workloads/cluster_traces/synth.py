@@ -90,8 +90,17 @@ def synthesize_trace(config: SynthTraceConfig) -> ClusterTrace:
         raise WorkloadError(f"tasks must be >= 1, got {config.tasks}")
     if config.tenants < 1:
         raise WorkloadError(f"tenants must be >= 1, got {config.tenants}")
-    if config.horizon <= 0:
-        raise WorkloadError(f"horizon must be > 0, got {config.horizon}")
+    if not 0 < config.horizon < math.inf:
+        raise WorkloadError(
+            f"horizon must be finite and > 0, got {config.horizon}")
+    if not 0 < config.mean_job_size < math.inf:
+        raise WorkloadError(
+            f"mean_job_size must be finite and > 0, got "
+            f"{config.mean_job_size}")
+    for name in ("large_fraction", "bidirectional_fraction"):
+        value = getattr(config, name)
+        if not 0 <= value <= 1:
+            raise WorkloadError(f"{name} must be in [0, 1], got {value}")
     if not 0 <= config.burst_amplitude < 1:
         raise WorkloadError(
             f"burst_amplitude must be in [0, 1), got "

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.fleet import LockstepFleetClock, cluster
 from repro.sim import Engine, FabricNetwork
 from repro.topology import cascade_lake_2s, dgx_like, minimal_host
 from repro.trace import TRACER, TraceConfig
@@ -25,6 +28,29 @@ def _tracer_hygiene():
         TRACER.clear()
     if TRACER.config != TraceConfig():
         TRACER.configure()
+
+
+@pytest.fixture
+def lockstep_oracle(monkeypatch):
+    """Build fleets on the lockstep reference clock.
+
+    Returns a context manager: every :class:`~repro.fleet.Fleet`
+    constructed inside ``with lockstep_oracle():`` advances on
+    :class:`LockstepFleetClock` (every host, every quantum, control at
+    every boundary) instead of the event-driven clock, so one test can
+    run the same workload on both and compare.  ``lockstep_oracle(False)``
+    is a no-op, for tests parametrized over the two.
+    """
+
+    @contextlib.contextmanager
+    def oracle(enabled: bool = True):
+        with monkeypatch.context() as patch:
+            if enabled:
+                patch.setattr(cluster, "EventDrivenFleetClock",
+                              LockstepFleetClock)
+            yield
+
+    return oracle
 
 
 @pytest.fixture

@@ -186,6 +186,13 @@ def test_fleet_rejects_bad_hosts(capsys):
     (("fleet", "run", "--max-attempts", "0"), "FleetError: max_attempts"),
     (("fleet", "run", "--max-attempts", "-1"), "FleetError: max_attempts"),
     (("fleet", "replay", "--tasks", "0"), "WorkloadError: "),
+    (("fleet", "run", "--rebalance-threshold", "nan"),
+     "FleetError: rebalance_threshold"),
+    (("fleet", "replay", "--hosts", "2", "--tasks", "20", "--tenants", "4",
+      "--horizon", "nan"), "WorkloadError: horizon"),
+    (("fleet", "replay", "--hosts", "2", "--tasks", "20", "--tenants", "4",
+      "--horizon", "1", "--slo-stretch", "nan"),
+     "WorkloadError: slo_stretch"),
 ])
 def test_fleet_library_errors_exit_2_with_one_line(capsys, argv, error):
     code, out, err = run_cli_err(capsys, "--preset", "minimal", *argv)
@@ -193,6 +200,13 @@ def test_fleet_library_errors_exit_2_with_one_line(capsys, argv, error):
     assert err.startswith(f"repro: {error}")
     assert err.count("\n") == 1  # one line, no traceback
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "chaos", "slo"])
+def test_fleet_has_no_clock_option(command):
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", command, "--clock", "event"])
+    assert exc.value.code == 2
 
 
 def test_fleet_requires_subcommand():
@@ -278,20 +292,12 @@ def test_fleet_chaos(capsys, tmp_path):
                         "--horizon", "0.2", "--domains", "2",
                         "--report", str(report_path))
     assert code == 0
-    assert "fleet chaos (seed=1, hosts=4, clock=event): PASS" in out
+    assert "fleet chaos (seed=1, hosts=4): PASS" in out
     assert "oracle:" in out
     import json
     payload = json.loads(report_path.read_text())
     assert payload["passed"] is True
     assert payload["violations"] == []
-
-
-def test_fleet_chaos_lockstep(capsys):
-    code, out = run_cli(capsys, "fleet", "chaos", "--hosts", "4",
-                        "--seed", "1", "--fault-rate", "20",
-                        "--horizon", "0.2", "--clock", "lockstep")
-    assert code == 0
-    assert "clock=lockstep): PASS" in out
 
 
 def test_fleet_chaos_rejects_bad_args(capsys):

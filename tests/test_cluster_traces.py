@@ -249,3 +249,30 @@ def test_synth_round_trips_through_schema():
                                               horizon=3.0))
     assert ClusterTrace.from_json(trace.to_json()).to_json() \
         == trace.to_json()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", NAN), ("horizon", float("inf")), ("horizon", 0.0),
+    ("horizon", -1.0),
+    ("mean_job_size", 0.0), ("mean_job_size", -2.0),
+    ("mean_job_size", NAN), ("mean_job_size", float("inf")),
+    ("large_fraction", 2.0), ("large_fraction", -0.1),
+    ("large_fraction", NAN),
+    ("bidirectional_fraction", 1.5), ("bidirectional_fraction", NAN),
+])
+def test_synth_rejects_bad_values(field, value):
+    knobs = dict(seed=0, tasks=20, tenants=4, horizon=1.0)
+    knobs[field] = value
+    config = SynthTraceConfig(**knobs)
+    with pytest.raises(WorkloadError, match=field):
+        synthesize_trace(config)
+
+
+def test_synth_accepts_fraction_bounds():
+    trace = synthesize_trace(SynthTraceConfig(
+        seed=0, tasks=20, tenants=4, horizon=1.0, large_fraction=1.0,
+        bidirectional_fraction=0.0, mean_job_size=0.5))
+    assert len(trace) == 20

@@ -13,14 +13,14 @@ from repro.fleet import (
 
 #: Seeds for the wide oracle-green property sweep (ISSUE: >= 50 seeds).
 ORACLE_SEEDS = list(range(50))
-#: Seeds for the cross-clock bit-identical equivalence sweep (>= 20).
+#: Seeds for the event-clock vs lockstep-oracle bit-identical sweep (>= 20).
 EQUIVALENCE_SEEDS = list(range(20))
 
 
-def small_config(seed, clock="event", **overrides):
+def small_config(seed, **overrides):
     """A 16-host campaign kept small enough for a seed sweep."""
     defaults = dict(
-        seed=seed, hosts=16, clock=clock, horizon=0.2,
+        seed=seed, hosts=16, horizon=0.2,
         arrival_rate=800.0, tenants=8, faults=6, deep_audits=False,
     )
     defaults.update(overrides)
@@ -55,11 +55,13 @@ def test_oracle_green_across_seeds(seed):
 
 
 @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
-def test_event_and_lockstep_clocks_agree_bit_exact(seed):
-    """Same seed, same storm: both clock disciplines reach the same
-    admissions, evacuations, sheds, and final placements, bit-identical."""
-    event = run_fleet_campaign(small_config(seed, clock="event"))
-    lockstep = run_fleet_campaign(small_config(seed, clock="lockstep"))
+def test_event_and_lockstep_clocks_agree_bit_exact(seed, lockstep_oracle):
+    """Same seed, same storm: the event clock and the lockstep oracle
+    reach the same admissions, evacuations, sheds, and final placements,
+    bit-identical."""
+    event = run_fleet_campaign(small_config(seed))
+    with lockstep_oracle():
+        lockstep = run_fleet_campaign(small_config(seed))
     assert event.passed and lockstep.passed
     assert event.outcome_json == lockstep.outcome_json
 

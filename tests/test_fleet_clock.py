@@ -2,20 +2,31 @@
 
 The event clock's contract is that it is an *optimization*, never a
 semantic change: a seeded churn run must produce bit-identical placements,
-rejections, and reservation ledgers under either discipline, and waking
-hosts in any order must never affect what the fleet has promised.  The
-same bargain is asserted for the other incremental layers this rests on —
-the vectorized headroom matrix vs the scalar rollup, the self-parking
-arbiter vs recomputing every round, and the shared route cache vs
-per-host enumeration.
+rejections, and reservation ledgers on it and on the lockstep oracle —
+also when fleet control runs as boundary steps (escalations from
+host-local recovery, an armed rebalance threshold), where every planner
+record must match too — and waking hosts in any order must never affect
+what the fleet has promised.  The same bargain is asserted for the other
+incremental layers this rests on — the vectorized headroom matrix vs the
+scalar rollup, the self-parking arbiter vs recomputing every round, and
+the shared route cache vs per-host enumeration.
 """
+
+import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MigrationError
-from repro.fleet import Fleet, FleetChurnConfig, make_policy, run_churn
+from repro.fleet import (
+    Fleet,
+    FleetChurnConfig,
+    generate_events,
+    make_policy,
+    run_churn,
+)
 from repro.core import pipe
 from repro.monitor import FailureInjector
 from repro.topology.elements import LinkClass
@@ -33,16 +44,16 @@ def kv(intent_id, tenant="tA", bandwidth=Gbps(50), src="nic0",
 
 def ledger_signature(fleet):
     """Reserved bytes/s per (host, link, direction) — the ground truth
-    both clock disciplines must agree on exactly."""
+    the event clock and the lockstep oracle must agree on exactly."""
     return {
         host_id: tuple(sorted(host.manager.ledger.reserved_map.items()))
         for host_id, host in fleet.hosts()
     }
 
 
-def churn_under(clock, seed):
+def churn_under(seed):
     fleet = Fleet("cascade_lake_2s", hosts=4, policy="best-fit",
-                  max_attempts=3, clock=clock)
+                  max_attempts=3)
     config = FleetChurnConfig(seed=seed, horizon=0.08, arrival_rate=1500.0)
     report = run_churn(fleet, config)
     signature = (
@@ -60,12 +71,119 @@ def churn_under(clock, seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_event_clock_matches_lockstep_exactly(seed):
-    assert churn_under("event", seed) == churn_under("lockstep", seed)
+def test_event_clock_matches_lockstep_exactly(seed, lockstep_oracle):
+    event = churn_under(seed)
+    with lockstep_oracle():
+        lockstep = churn_under(seed)
+    assert event == lockstep
 
 
 def test_event_clock_is_self_deterministic():
-    assert churn_under("event", 99) == churn_under("event", 99)
+    assert churn_under(99) == churn_under(99)
+
+
+# -- control as boundary steps: escalation and rebalance ---------------------
+
+
+CONTROL_HOSTS = 4
+
+
+def controlled_churn(seed, failure_bursts=0, surface_failures=0,
+                     **fleet_kwargs):
+    """Seeded churn on a fleet whose planner has boundary work.
+
+    Each of *failure_bursts* fails a NIC uplink on two seeded hosts a
+    fraction of a quantum apart, inside the hosts' own engines, and
+    repairs it later — so escalations from different hosts land in one
+    quantum in either host order.  Each of *surface_failures* fails one
+    between two advances, through the fleet surface (wake, fail,
+    notify), so its escalation is already queued when the next advance
+    starts.  Returns placements, ledger signatures and every planner
+    record; the records carry each control decision's time, so a control
+    pass at the wrong boundary, or escalations drained in the wrong
+    order, shows.
+    """
+    fleet = Fleet("cascade_lake_2s", hosts=CONTROL_HOSTS, **fleet_kwargs)
+    config = FleetChurnConfig(seed=seed, horizon=0.05, arrival_rate=1500.0)
+    rng = random.Random(seed)
+    for _ in range(failure_bursts):
+        at = rng.uniform(0.005, config.horizon)
+        for host_id in rng.sample(fleet.host_ids(), 2):
+            link_id = f"pcie-nic{rng.randrange(2)}"
+            FailureInjector(fleet.host(host_id).network).schedule(
+                lambda injector, link_id=link_id: injector.fail_link(link_id),
+                at=at + rng.uniform(0.0, 0.001),
+                clear_after=rng.uniform(0.005, 0.02))
+    surface = sorted(
+        (rng.uniform(0.0, config.horizon),
+         f"host{rng.randrange(CONTROL_HOSTS):02d}",
+         f"pcie-nic{rng.randrange(2)}")
+        for _ in range(surface_failures))
+    for time, _seq, kind, payload in generate_events(config, fleet):
+        while surface and surface[0][0] <= time:
+            at, host_id, link_id = surface.pop(0)
+            fleet.advance_to(at)
+            fleet.wake(host_id)
+            FailureInjector(fleet.host(host_id).network).fail_link(link_id)
+            fleet.notify(host_id)
+        fleet.advance_to(time)
+        if kind == "arrive":
+            fleet.try_submit(payload)
+        elif fleet.scheduler.has_intent(payload):
+            fleet.release(payload)
+    fleet.advance_to(config.horizon)
+    outcome = (
+        sorted((p.intent_id, p.host_id) for p in fleet.placements()),
+        fleet.ledger_signatures(),
+        [(r.time, r.kind, r.intent_id, r.src, r.dst, r.ok)
+         for r in fleet.planner.records],
+    )
+    fleet.shutdown()
+    return outcome
+
+
+#: Host-local recovery escalating placements whose NIC uplink died.
+ESCALATING = dict(failure_bursts=3, surface_failures=1, policy="best-fit",
+                  max_attempts=3, resilience=True)
+#: First-fit piling load on one host, so an armed rebalance moves it.
+REBALANCING = dict(policy="first-fit", max_attempts=1,
+                   rebalance_threshold=0.3)
+
+
+@functools.lru_cache(maxsize=None)
+def event_outcome(seed, **kwargs):
+    """:func:`controlled_churn` on the event clock (deterministic, so
+    the equivalence and activity tests share one run per seed)."""
+    return controlled_churn(seed, **kwargs)
+
+
+def assert_matches_oracle(lockstep_oracle, seed, **kwargs):
+    event = event_outcome(seed, **kwargs)
+    with lockstep_oracle():
+        lockstep = controlled_churn(seed, **kwargs)
+    assert event[0] == lockstep[0]  # placements
+    assert event[1] == lockstep[1]  # ledger signatures
+    assert event[2] == lockstep[2]  # every planner record
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_escalations_drain_at_the_oracle_boundaries(seed, lockstep_oracle):
+    assert_matches_oracle(lockstep_oracle, seed, **ESCALATING)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rebalance_runs_at_the_oracle_boundaries(seed, lockstep_oracle):
+    assert_matches_oracle(lockstep_oracle, seed, **REBALANCING)
+
+
+@pytest.mark.parametrize("kwargs, kind", [(ESCALATING, "escalate"),
+                                          (REBALANCING, "rebalance")])
+def test_control_decisions_occur_in_most_seeds(kwargs, kind):
+    """The equivalence suites above exercise the boundary path: most of
+    their seeds record escalations (or rebalance moves)."""
+    active = [seed for seed in range(20)
+              if any(r[1] == kind for r in event_outcome(seed, **kwargs)[2])]
+    assert len(active) >= 15, active
 
 
 # -- waking order is irrelevant to conservation ------------------------------
@@ -75,8 +193,7 @@ HOSTS = ["host00", "host01", "host02", "host03"]
 
 
 def _run_with_wakes(wake_order):
-    fleet = Fleet("cascade_lake_2s", hosts=4, policy="best-fit",
-                  clock="event")
+    fleet = Fleet("cascade_lake_2s", hosts=4, policy="best-fit")
     fleet.submit(kv("a", tenant="t0", bandwidth=Gbps(80)))
     fleet.submit(kv("b", tenant="t1", bandwidth=Gbps(40), src="nic1"))
     fleet.advance_to(0.005)
@@ -177,7 +294,7 @@ def test_failed_migration_invalidates_src_and_dst_summaries():
 
 
 def test_arbiter_parks_when_quiesced_and_reacts_to_perturbation():
-    fleet = Fleet("cascade_lake_2s", hosts=2, clock="event")
+    fleet = Fleet("cascade_lake_2s", hosts=2)
     placed = fleet.submit(kv("a", tenant="t0", bandwidth=Gbps(100)))
     fleet.advance_to(0.02)  # long enough for many idle arbiter periods
     host = fleet.host(placed.host_id)

@@ -1,9 +1,9 @@
-"""The Fleet facade: construction, lockstep clock, remapping, delegation."""
+"""The Fleet facade: construction, the fleet clock, remapping, delegation."""
 
 import pytest
 
 from repro.errors import ClockError, FleetError, UnknownHostError
-from repro.fleet import Fleet
+from repro.fleet import Fleet, clock
 from repro.core import pipe
 from repro.topology import cascade_lake_2s, minimal_host
 from repro.units import Gbps
@@ -46,9 +46,7 @@ def test_accepts_topology_factory():
     assert a is not b  # each host got a fresh instance
 
 
-def test_rejects_bad_quantum_and_duplicate_and_empty_ids():
-    with pytest.raises(FleetError, match="clock_quantum"):
-        Fleet("minimal", hosts=1, clock_quantum=0.0)
+def test_rejects_duplicate_and_empty_ids():
     with pytest.raises(FleetError, match="duplicate"):
         Fleet("minimal", host_ids=["a", "a"])
     with pytest.raises(FleetError, match="at least one"):
@@ -71,18 +69,54 @@ def test_advance_to_rejects_going_backwards():
         fleet.advance_to(0.005)
 
 
-def test_planner_controls_once_per_quantum_boundary():
-    fleet = small_fleet(clock_quantum=0.002, clock="lockstep")
-    boundaries = []
+@pytest.mark.parametrize("threshold", [float("nan"), -0.5, float("inf")])
+def test_rejects_nonfinite_or_negative_rebalance_threshold(threshold):
+    with pytest.raises(FleetError, match="rebalance_threshold"):
+        small_fleet(rebalance_threshold=threshold)
+
+
+def test_rebalance_threshold_zero_is_accepted():
+    fleet = small_fleet(rebalance_threshold=0.0)
+    assert fleet.planner.rebalance_threshold == 0.0
+
+
+def control_times(fleet, *targets):
+    """Fleet times at which the planner's control pass ran while the
+    fleet advanced through *targets*."""
+    times = []
     original = fleet.planner.control
-    fleet.planner.control = lambda: (boundaries.append(fleet.now),
-                                     original())
-    fleet.advance_to(0.01)
+    fleet.planner.control = lambda: (times.append(fleet.now), original())
+    for t in targets:
+        fleet.advance_to(t)
+    return times
+
+
+def test_planner_controls_once_per_quantum_boundary(monkeypatch,
+                                                   lockstep_oracle):
+    monkeypatch.setattr(clock, "QUANTUM", 0.002)
+    with lockstep_oracle():
+        fleet = small_fleet()
+    boundaries = control_times(fleet, 0.01)
     assert len(boundaries) == 5  # 0.002, 0.004, ..., 0.010
 
 
+def test_event_clock_controls_at_the_oracle_boundaries(monkeypatch,
+                                                      lockstep_oracle):
+    """With rebalancing armed the event clock runs control at exactly the
+    oracle's boundary times; with nothing armed it never runs it."""
+    monkeypatch.setattr(clock, "QUANTUM", 0.002)
+    targets = (0.0, 0.0031, 0.0031, 0.01, 0.0173)
+    with lockstep_oracle():
+        oracle = small_fleet(rebalance_threshold=0.5)
+    armed = small_fleet(rebalance_threshold=0.5)
+    expected = control_times(oracle, *targets)
+    assert len(expected) == 10
+    assert control_times(armed, *targets) == expected
+    assert control_times(small_fleet(), *targets) == []
+
+
 def test_event_clock_leaves_idle_hosts_behind_until_woken():
-    fleet = small_fleet(clock="event")
+    fleet = small_fleet()
     fleet.advance_to(0.02)
     assert fleet.now == pytest.approx(0.02)
     # Hosts run periodic tasks (arbiter/monitor may be off in defaults),
@@ -90,11 +124,6 @@ def test_event_clock_leaves_idle_hosts_behind_until_woken():
     # fleet time exactly.
     fleet.wake("host01")
     assert fleet.host("host01").now == pytest.approx(0.02)
-
-
-def test_unknown_clock_name_rejected():
-    with pytest.raises(FleetError, match="unknown fleet clock"):
-        small_fleet(clock="metronome")
 
 
 # -- remapping ---------------------------------------------------------------

@@ -25,10 +25,9 @@ def kv(intent_id, tenant="tA", bandwidth=Gbps(50)):
                 bandwidth=bandwidth)
 
 
-def make_fleet(hosts=3, domains=3, clock="event", policy="best-fit",
-               **kwargs):
+def make_fleet(hosts=3, domains=3, policy="best-fit", **kwargs):
     return Fleet("cascade_lake_2s", hosts=hosts, policy=policy,
-                 clock=clock, failure_domains=domains, **kwargs)
+                 failure_domains=domains, **kwargs)
 
 
 def schedule_of(*events, seed=0):
@@ -180,8 +179,9 @@ def test_telemetry_set_fault_marks_unhealthy():
 
 
 @pytest.mark.parametrize("clock", ["event", "lockstep"])
-def test_crash_evacuates_and_recovery_reactivates(clock):
-    fleet = make_fleet(hosts=3, domains=3, clock=clock)
+def test_crash_evacuates_and_recovery_reactivates(clock, lockstep_oracle):
+    with lockstep_oracle(clock == "lockstep"):
+        fleet = make_fleet(hosts=3, domains=3)
     recovery = FleetRecoveryController(fleet)
     schedule = schedule_of(
         FleetFaultEvent(time=0.01, kind="crash", targets=("host00",),
@@ -230,7 +230,7 @@ def test_crash_without_recovery_drops_placements():
 
 
 def test_event_clock_never_wakes_a_crashed_host():
-    fleet = make_fleet(hosts=2, domains=1, clock="event")
+    fleet = make_fleet(hosts=2, domains=1)
     schedule = schedule_of(
         FleetFaultEvent(time=0.01, kind="crash", targets=("host00",),
                         duration=1.0))

@@ -122,12 +122,11 @@ def test_report_json_is_canonical_and_versioned():
     payload = json.loads(report.to_json())
     assert payload["schema"] == REPORT_VERSION
     assert payload["counts"]["admitted"] == 8
-    assert payload["fleet"]["clock"] == "event"
+    assert payload["fleet"] == {"policy": "best-fit", "hosts": 4,
+                                "max_attempts": 8}
     assert len(payload["trace"]["digest"]) == 64
-    # outcome_json drops only the clock name.
-    outcome = json.loads(report.outcome_json())
-    assert "clock" not in outcome["fleet"]
-    assert outcome["counts"] == payload["counts"]
+    # Every field is outcome: nothing names the clock.
+    assert report.outcome_json() == report.to_json()
 
 
 def test_utilization_samples_cover_hosts_times_samples():
@@ -148,17 +147,30 @@ def test_replay_config_validation():
         ReplayConfig(samples=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("slo_stretch", float("nan")), ("slo_stretch", float("inf")),
+    ("max_wait_fraction", -0.5), ("max_wait_fraction", float("nan")),
+    ("max_wait_fraction", float("inf")),
+])
+def test_replay_config_rejects_non_finite_and_negative(field, value):
+    with pytest.raises(WorkloadError, match=field):
+        ReplayConfig(**{field: value})
+
+
+def test_replay_config_accepts_zero_wait():
+    assert ReplayConfig(max_wait_fraction=0.0).max_wait_fraction == 0.0
+
+
 # -- cross-clock equivalence -------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_event_and_lockstep_replays_are_bit_identical(seed):
+def test_event_and_lockstep_replays_are_bit_identical(seed, lockstep_oracle):
     trace = synthesize_trace(SynthTraceConfig(seed=seed, tasks=250,
                                               tenants=20, horizon=2.0))
-    event = replay(trace, clock="event")
-    lockstep = replay(trace, clock="lockstep")
-    assert event.clock == "event"
-    assert lockstep.clock == "lockstep"
+    event = replay(trace)
+    with lockstep_oracle():
+        lockstep = replay(trace)
     assert event.outcome_json() == lockstep.outcome_json()
 
 
@@ -269,13 +281,15 @@ def test_faulted_replay_populates_fault_summary():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_faulted_replays_are_bit_identical_across_clocks(seed):
+def test_faulted_replays_are_bit_identical_across_clocks(seed,
+                                                        lockstep_oracle):
     trace = synthesize_trace(SynthTraceConfig(seed=seed, tasks=150,
                                               tenants=8, horizon=1.0))
     schedule = fault_schedule(seed=seed, horizon=trace.horizon)
     outcomes = []
-    for clock in ("event", "lockstep"):
-        fleet = fresh_fleet(clock=clock, failure_domains=2)
+    for oracle in (False, True):
+        with lockstep_oracle(oracle):
+            fleet = fresh_fleet(failure_domains=2)
         try:
             report = replay_trace(fleet, trace, ReplayConfig(samples=4),
                                   faults=schedule)

@@ -402,12 +402,12 @@ class TestClosedLoop:
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_lockstep_regression_matches_event_exactly(seed):
-    """The exact probe grid keeps both clock disciplines bit-equal even
-    when a probe tick coincides with a control instant."""
-    event = run_latency_regression(small_config(seed), clock="event")
-    lockstep = run_latency_regression(small_config(seed),
-                                      clock="lockstep")
+def test_lockstep_regression_matches_event_exactly(seed, lockstep_oracle):
+    """The exact probe grid keeps the event clock and the lockstep oracle
+    bit-equal even when a probe tick coincides with a control instant."""
+    event = run_latency_regression(small_config(seed))
+    with lockstep_oracle():
+        lockstep = run_latency_regression(small_config(seed))
     assert event.signature() == lockstep.signature()
 
 
