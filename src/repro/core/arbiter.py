@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ArbiterError
-from ..sim.engine import PeriodicTask
+from ..sim.engine import Event, PeriodicTask
 from ..trace.recorder import TRACER
 from ..sim.network import SYSTEM_TENANT, FabricNetwork
 from ..units import us
@@ -214,6 +214,29 @@ def _waterfill(budget: float, demands: Dict[str, float]) -> Dict[str, float]:
     return allocation
 
 
+class _LinkState:
+    """Everything the arbiter keeps about one directed link.
+
+    Attributes:
+        floors: Guaranteed floor per tenant.  A link whose last floor goes
+            keeps its record (and its decided caps) but is skipped by the
+            round until a floor returns.
+        sig: The round inputs :attr:`allocation` was computed from, or
+            ``None`` when a floor change (or a lift) forces a recompute.
+        allocation: The last computed round outcome.
+        caps: The caps decided for this link: installed in the fabric, or
+            still in an enforcement batch on its way there.
+    """
+
+    __slots__ = ("floors", "sig", "allocation", "caps")
+
+    def __init__(self) -> None:
+        self.floors: Dict[str, float] = {}
+        self.sig: Optional[tuple] = None
+        self.allocation: Optional[LinkAllocation] = None
+        self.caps: Dict[str, float] = {}
+
+
 class DynamicArbiter:
     """Periodic, delayed enforcement of floors over a live fabric.
 
@@ -252,15 +275,20 @@ class DynamicArbiter:
         #: this on so caps stop overcommitting degraded links.
         self.degradation_aware = degradation_aware
 
-        # (link, direction) -> tenant -> floor.  Links are full duplex, so
+        # (link, direction) -> its state.  Links are full duplex, so
         # guarantees are enforced per direction (a 50 Gbps ingress floor
-        # must not be satisfiable with egress bandwidth).
-        self._floors: Dict[Tuple[str, str], Dict[str, float]] = {}
+        # must not be satisfiable with egress bandwidth).  Rounds visit
+        # links in the order they (re)gained their first floor.
+        self._links: Dict[Tuple[str, str], _LinkState] = {}
         # link -> {owner: ceiling}; the strictest owner wins per link.
         self._ceilings: Dict[str, Dict[str, float]] = {}
         self._best_effort: Set[str] = set()
+        self._best_effort_version = 0
         self._task: Optional[PeriodicTask] = None
+        # (tenant, link, direction) caps installed in the fabric.
         self._capped: Set[tuple] = set()
+        # Enforcement batches scheduled but not yet applied, by id.
+        self._inflight: Dict[int, Tuple[Event, List[tuple]]] = {}
         # Event-driven cadence: once a round quiesces (skipped — nothing
         # can have changed), the periodic task parks itself; any fabric
         # re-solve or configuration change re-arms it.  An idle host thus
@@ -277,26 +305,7 @@ class DynamicArbiter:
         # round would re-derive byte-identical caps, so it is skipped.
         self._config_version = 0
         self._quiesced_state: Optional[tuple] = None
-        # Per-directed-link incremental state.  A link's allocation is a
-        # pure function of a small input signature (its floor version, the
-        # best-effort roster version, capacity, ceiling, usage state, mode
-        # flags); churn moves one link's floors at a time, so most links
-        # present an unchanged signature each round and reuse their cached
-        # allocation — and caps are re-programmed into the fabric only for
-        # links whose signature moved since the last emission.
-        self._floor_versions: Dict[Tuple[str, str], int] = {}
-        self._best_effort_version = 0
-        self._link_cache: Dict[Tuple[str, str], tuple] = {}
-        self._emitted_sig: Dict[Tuple[str, str], tuple] = {}
-        self._emitted_caps: Dict[Tuple[str, str], Dict[str, float]] = {}
         self._applying = False
-        # When the round's global inputs (roster, modes, usage state,
-        # recompute counter) are unchanged, only keys explicitly dirtied
-        # by a floor/ceiling mutation can differ — the loop reuses every
-        # other key's cached allocation without even rebuilding its
-        # signature.
-        self._dirty_keys: Set[Tuple[str, str]] = set()
-        self._last_round_globals: Optional[tuple] = None
 
         self.adjustments = 0
         self.skipped_adjustments = 0
@@ -326,10 +335,15 @@ class DynamicArbiter:
         self.network.topology.link(link_id)  # validate
         self._config_changed()
         for key in self._floor_keys(link_id, direction):
-            per_tenant = self._floors.setdefault(key, {})
-            per_tenant[tenant_id] = per_tenant.get(tenant_id, 0.0) + bandwidth
-            self._floor_versions[key] = self._floor_versions.get(key, 0) + 1
-            self._dirty_keys.add(key)
+            state = self._links.get(key)
+            if state is None or not state.floors:
+                # (Re)gaining a first floor moves the link to the end of
+                # the round order.
+                state = self._links.pop(key, None) or _LinkState()
+                self._links[key] = state
+            state.floors[tenant_id] = (state.floors.get(tenant_id, 0.0)
+                                       + bandwidth)
+            state.sig = None
 
     def remove_floor(self, tenant_id: str, link_id: str,
                      bandwidth: float,
@@ -337,8 +351,8 @@ class DynamicArbiter:
         """Subtract *bandwidth* from a floor (removing it at zero)."""
         self._config_changed()
         for key in self._floor_keys(link_id, direction):
-            per_tenant = self._floors.get(key, {})
-            current = per_tenant.get(tenant_id)
+            state = self._links.get(key)
+            current = state.floors.get(tenant_id) if state else None
             if current is None:
                 raise ArbiterError(
                     f"no floor for tenant {tenant_id!r} on "
@@ -346,13 +360,10 @@ class DynamicArbiter:
                 )
             remaining = current - bandwidth
             if remaining <= 1e-9:
-                del per_tenant[tenant_id]
-                if not per_tenant:
-                    del self._floors[key]
+                del state.floors[tenant_id]
             else:
-                per_tenant[tenant_id] = remaining
-            self._floor_versions[key] = self._floor_versions.get(key, 0) + 1
-            self._dirty_keys.add(key)
+                state.floors[tenant_id] = remaining
+            state.sig = None
 
     def set_utilization_ceiling(self, owner: str, link_id: str,
                                 ceiling: float) -> None:
@@ -368,7 +379,6 @@ class DynamicArbiter:
         self.network.topology.link(link_id)  # validate
         self._config_changed()
         self._ceilings.setdefault(link_id, {})[owner] = ceiling
-        self._dirty_keys.update(((link_id, "fwd"), (link_id, "rev")))
 
     def clear_utilization_ceiling(self, owner: str, link_id: str) -> None:
         """Remove one owner's ceiling on *link_id* (no-op if absent)."""
@@ -378,7 +388,6 @@ class DynamicArbiter:
             del owners[owner]
             if not owners:
                 del self._ceilings[link_id]
-            self._dirty_keys.update(((link_id, "fwd"), (link_id, "rev")))
 
     def ceiling_on(self, link_id: str) -> float:
         """The effective (strictest) ceiling on *link_id*; 1.0 if none."""
@@ -400,7 +409,13 @@ class DynamicArbiter:
             self._config_changed()
             self._best_effort_version += 1
             self._best_effort.discard(tenant_id)
-        self._lift_tenant_caps(tenant_id)
+        self._clear_installed(
+            [key for key in self._capped if key[0] == tenant_id])
+        for _event, batch in self._inflight.values():
+            batch[:] = [entry for entry in batch if entry[0] != tenant_id]
+        for state in self._links.values():
+            if state.caps.pop(tenant_id, None) is not None:
+                state.sig = None  # a floor holder's cap is re-sent
 
     def floors_on(self, link_id: str,
                   direction: Optional[str] = None) -> Dict[str, float]:
@@ -409,19 +424,19 @@ class DynamicArbiter:
         With *direction*, that direction's floors; without, the per-tenant
         maximum across directions (the effective guarantee level).
         """
-        if direction is not None:
-            return dict(self._floors.get((link_id, direction), {}))
         merged: Dict[str, float] = {}
-        for d in ("fwd", "rev"):
-            for tenant, floor in self._floors.get((link_id, d), {}).items():
-                merged[tenant] = max(merged.get(tenant, 0.0), floor)
+        for key in self._floor_keys(link_id, direction):
+            state = self._links.get(key)
+            if state is not None:
+                for tenant, floor in state.floors.items():
+                    merged[tenant] = max(merged.get(tenant, 0.0), floor)
         return merged
 
     def managed_links(self) -> List[str]:
         """Links with at least one floor (either direction), deduplicated."""
         seen: List[str] = []
-        for link_id, _direction in self._floors:
-            if link_id not in seen:
+        for (link_id, _direction), state in self._links.items():
+            if state.floors and link_id not in seen:
                 seen.append(link_id)
         return seen
 
@@ -464,17 +479,20 @@ class DynamicArbiter:
             self._arm()
 
     def stop(self, lift_caps: bool = True) -> None:
-        """Stop adjusting; optionally lift every cap the arbiter set."""
+        """Stop adjusting, cancelling enforcement batches still in
+        flight; optionally lift every cap the arbiter set."""
         self._running = False
         self._park()
+        for event, _batch in self._inflight.values():
+            event.cancel()
+        self._inflight.clear()
         if lift_caps:
-            with self.network.batch():
-                for tenant_id, link_id, direction in list(self._capped):
-                    self.network.clear_tenant_link_cap(tenant_id, link_id,
-                                                       direction=direction)
-            self._capped.clear()
-            self._emitted_sig.clear()
-            self._emitted_caps.clear()
+            self._clear_installed(list(self._capped))
+        # Cancelled caps never reach the fabric (and lifted ones left it):
+        # a restart re-decides every link and re-sends its caps.
+        for state in self._links.values():
+            state.caps.clear()
+            state.sig = None
 
     # -- the control loop -------------------------------------------------------
 
@@ -483,7 +501,8 @@ class DynamicArbiter:
         if not TRACER.enabled:
             return self._adjust_once_untracked()
         with TRACER.span("arbiter", "adjust", {
-            "directed_links": len(self._floors),
+            "directed_links": sum(1 for state in self._links.values()
+                                  if state.floors),
             "best_effort_tenants": len(self._best_effort),
         }):
             allocations = self._adjust_once_untracked()
@@ -523,40 +542,30 @@ class DynamicArbiter:
         # nonzero rate can only change when the fabric re-solves, so the
         # recompute counter stands in for all usage state.
         fabric_idle = not self.network.active_flows()
-        usage_token = "idle" if fabric_idle else self.network.recompute_count
-        mode = (self.work_conserving, self.lend_parked_floors,
-                self.demand_aware)
-        # With unchanged global inputs, only explicitly-dirtied keys can
-        # produce a different allocation (capacity cannot move without a
-        # recompute, and every floor/ceiling mutation dirties its key) —
-        # everything else reuses its cached allocation wholesale.
-        round_globals = (self._best_effort_version, mode, usage_token,
-                         self.network.recompute_count,
-                         self.degradation_aware)
-        clean_globals = round_globals == self._last_round_globals
-        dirty_keys = self._dirty_keys
-        link_cache = self._link_cache
+        # A link's allocation is a pure function of its floors (a change
+        # resets its signature) and these round inputs plus its capacity
+        # and ceiling.  Churn moves one link's floors at a time, so most
+        # links present an unchanged signature and keep their allocation;
+        # only links whose signature moved are recomputed and diffed.
+        round_sig = (self._best_effort_version,
+                     "idle" if fabric_idle else self.network.recompute_count,
+                     self.work_conserving, self.lend_parked_floors,
+                     self.demand_aware)
         topology_link = self.network.topology.link
-        for key, floors in self._floors.items():
-            if clean_globals and key not in dirty_keys:
-                cached = link_cache.get(key)
-                if cached is not None:
-                    allocations.append(cached[1])
-                    continue
-            link_id, direction = key
+        for (link_id, direction), state in self._links.items():
+            floors = state.floors
+            if not floors:
+                continue
             link = topology_link(link_id)
             # By default the arbiter believes the spec sheet; in
             # degradation-aware mode it allocates what the link can
             # actually carry right now.
             capacity = (link.effective_capacity if self.degradation_aware
                         else link.capacity)
-            sig = (self._floor_versions.get(key, 0),
-                   self._best_effort_version, capacity,
-                   self.ceiling_on(link_id), usage_token, mode)
-            cached = self._link_cache.get(key)
-            if cached is not None and cached[0] == sig:
-                allocation, caps = cached[1], cached[2]
-            else:
+            ceiling = self.ceiling_on(link_id)
+            sig = (round_sig, capacity, ceiling)
+            if state.sig != sig:
+                state.sig = sig
                 tenants = set(floors) | self._best_effort
                 tenants.discard(SYSTEM_TENANT)
                 if fabric_idle:
@@ -567,60 +576,54 @@ class DynamicArbiter:
                             tenant, link_id, direction)
                         for tenant in tenants
                     }
-                best_effort_here = {
-                    t for t in self._best_effort if t not in floors
-                }
                 caps = compute_caps(
                     capacity=capacity, floors=dict(floors), usages=usages,
-                    best_effort=best_effort_here,
+                    best_effort={t for t in self._best_effort
+                                 if t not in floors},
                     work_conserving=self.work_conserving,
-                    utilization_ceiling=self.ceiling_on(link_id),
+                    utilization_ceiling=ceiling,
                     lend_parked_floors=self.lend_parked_floors,
                     demand_aware=self.demand_aware,
                 )
-                allocation = LinkAllocation(
+                state.allocation = LinkAllocation(
                     link_id=f"{link_id}|{direction}", capacity=capacity,
                     floors=dict(floors), usages=usages, caps=dict(caps),
                 )
-                self._link_cache[key] = (sig, allocation, caps)
-            allocations.append(allocation)
-            # Emit caps into the fabric only when this link's inputs moved
-            # since the last emission — the programmed caps are still
-            # exactly these values otherwise.
-            if self._emitted_sig.get(key) != sig:
-                self._emitted_sig[key] = sig
-                emitted = self._emitted_caps.setdefault(key, {})
+                decided = state.caps
                 for tenant, cap in caps.items():
                     # Within a changed link, most tenants usually keep the
                     # same cap (equal shares of an unchanged pool); only
                     # program the ones that actually moved.
-                    if emitted.get(tenant) != cap:
-                        emitted[tenant] = cap
+                    if decided.get(tenant) != cap:
+                        decided[tenant] = cap
                         pending.append((tenant, link_id, direction, cap))
-        dirty_keys.clear()
-        self._last_round_globals = round_globals
+            allocations.append(state.allocation)
 
+        self.last_allocations = allocations
+        # Snapshot the inputs this round sensed, *before* its caps apply:
+        # enforcement re-solves a live fabric and moves the rates the next
+        # round must sense.  Only _apply may fold its own re-solve into
+        # the snapshot, and only when no flow can feel it.
+        self._quiesced_state = self._input_fingerprint()
         if pending:
             if self.decision_latency > 0:
-                self.network.engine.schedule_in(
+                event = self.network.engine.schedule_in(
                     self.decision_latency,
                     lambda batch=pending: self._apply(batch),
                     label="arbiter-apply",
                 )
+                self._inflight[id(pending)] = (event, pending)
             else:
                 self._apply(pending)
-        self.last_allocations = allocations
-        # Snapshot taken *after* any synchronous apply: if the caps this
-        # round installed changed nothing (or once a delayed apply turns
-        # out to be a no-op next round), the fingerprint stabilizes and
-        # subsequent rounds skip until some input actually moves.
-        self._quiesced_state = self._input_fingerprint()
         return allocations
 
     def _apply(self, batch: List[tuple]) -> None:
         # One enforcement round programs every cap in a single fabric
         # re-solve; the incremental solver then only re-solves the
         # components whose caps actually changed since last round.
+        # Batches are never merged: an older one applies in full even
+        # when a newer one in flight overrides some of its caps.
+        self._inflight.pop(id(batch), None)
         if TRACER.enabled:
             TRACER.begin("arbiter", "enforce", {
                 "caps": len(batch),
@@ -644,14 +647,6 @@ class DynamicArbiter:
                 # fold the apply into the quiesced state instead of waking
                 # up just to discover a no-op.
                 self._quiesced_state = self._input_fingerprint()
-                if self._last_round_globals is not None:
-                    # Same reasoning for the per-key fast loop: advance its
-                    # recompute component past our own enforcement so the
-                    # next round still treats untouched keys as clean.
-                    g = self._last_round_globals
-                    self._last_round_globals = (
-                        g[:3] + (self.network.recompute_count,) + g[4:]
-                    )
             elif self._running:
                 self._arm()
         finally:
@@ -659,27 +654,24 @@ class DynamicArbiter:
             if TRACER.enabled:
                 TRACER.end()
 
-    def _lift_tenant_caps(self, tenant_id: str) -> None:
-        stale = [key for key in self._capped if key[0] == tenant_id]
+    def _clear_installed(self, stale: List[tuple]) -> None:
         with self.network.batch():
-            for tenant, link_id, direction in stale:
-                self.network.clear_tenant_link_cap(tenant, link_id,
-                                                   direction=direction)
-                self._capped.discard((tenant, link_id, direction))
-                # Caps were cleared behind the emission tracking: the next
-                # round must re-program this link even if its inputs are
-                # otherwise unchanged.
-                self._emitted_sig.pop((link_id, direction), None)
-                self._emitted_caps.get((link_id, direction), {}).pop(
-                    tenant, None)
+            for key in stale:
+                self.network.clear_tenant_link_cap(*key)
+                self._capped.discard(key)
 
     def lift_link_caps(self, link_id: str) -> None:
-        """Lift every cap on *link_id* (after its last floor is released)."""
-        stale = [key for key in self._capped if key[1] == link_id]
-        with self.network.batch():
-            for tenant, link, direction in stale:
-                self.network.clear_tenant_link_cap(tenant, link,
-                                                   direction=direction)
-                self._capped.discard((tenant, link, direction))
-                self._emitted_sig.pop((link, direction), None)
-                self._emitted_caps.pop((link, direction), None)
+        """Lift every cap on *link_id* (after its last floor is released).
+
+        Caps still in flight to the link are dropped too, and the link's
+        decided caps are forgotten so a round re-decides it.
+        """
+        self._clear_installed(
+            [key for key in self._capped if key[1] == link_id])
+        for _event, batch in self._inflight.values():
+            batch[:] = [entry for entry in batch if entry[1] != link_id]
+        for key in self._floor_keys(link_id, None):
+            state = self._links.get(key)
+            if state is not None and state.caps:
+                state.caps.clear()
+                state.sig = None

@@ -343,9 +343,10 @@ class HostNetworkManager:
             bucket.remove(intent_id)
         # Lift caps on links the arbiter no longer manages; one batched
         # re-solve covers every lifted cap.
+        managed = self.arbiter.managed_links()
         with self.network.batch():
             for link_id in placement.links():
-                if link_id not in self.arbiter.managed_links():
+                if link_id not in managed:
                     self.arbiter.lift_link_caps(link_id)
         self.arbiter.adjust_once()
         self._mark_changed()

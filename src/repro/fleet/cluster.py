@@ -35,7 +35,6 @@ from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.intents import PerformanceTarget
-from ..core.manager import Placement
 from ..core.virtual import _device_mapping
 from ..errors import FleetError, UnknownHostError
 from ..host import Host
@@ -380,29 +379,6 @@ class Fleet:
     def placements(self) -> List[FleetPlacement]:
         """Every placement in the fleet."""
         return self.scheduler.placements()
-
-    # -- per-host manager surface --------------------------------------------
-    #
-    # The scheduler, planner, recovery controller, and fault injector go
-    # through these instead of host(host_id).manager, so the control plane
-    # touches hosts through one narrow, auditable surface.
-
-    def manager_submit(self, host_id: str,
-                       intent: PerformanceTarget) -> Placement:
-        """``manager.submit`` on one host (raises on rejection)."""
-        return self.host(host_id).manager.submit(intent)
-
-    def manager_release(self, host_id: str, intent_id: str) -> None:
-        """``manager.release`` on one host."""
-        self.host(host_id).manager.release(intent_id)
-
-    def manager_reinstate(self, host_id: str, placement: Placement) -> None:
-        """``manager.reinstate`` on one host (migration rollback)."""
-        self.host(host_id).manager.reinstate(placement)
-
-    def manager_placement(self, host_id: str, intent_id: str) -> Placement:
-        """``manager.placement`` on one host (raises when not placed)."""
-        return self.host(host_id).manager.placement(intent_id)
 
     # -- audit surface -------------------------------------------------------
 

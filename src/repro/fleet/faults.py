@@ -618,10 +618,9 @@ class FleetFaultInjector:
         crashed host so it provably holds zero reservations."""
         scheduler = self.fleet.scheduler
         for fp in scheduler.placements_on(host_id):
-            self.fleet.manager_release(host_id, fp.intent_id)
+            self.fleet.host(host_id).manager.release(fp.intent_id)
             scheduler.forget(fp.intent_id)
             self.sessions_dropped += 1
-        self.fleet.telemetry.invalidate(host_id)
 
     # degrade ----------------------------------------------------------------
 
@@ -638,7 +637,6 @@ class FleetFaultInjector:
         self.fleet.telemetry.set_fault(host_id, True)
         self.fleet.degrade_host_links(host_id, factor)
         self.fleet.notify(host_id)
-        self.fleet.telemetry.invalidate(host_id)
         if self.recovery is not None:
             self.recovery.evacuate_host(host_id, crash=False)
         entry.applied = True
@@ -654,7 +652,6 @@ class FleetFaultInjector:
         self.fleet.health.restore(host_id)
         self.fleet.telemetry.set_fault(host_id, False)
         self.fleet.notify(host_id)
-        self.fleet.telemetry.invalidate(host_id)
         self.restores += 1
         self._emit("repair", "degrade", ev.targets)
 

@@ -154,15 +154,16 @@ class MigrationPlanner:
         self.fleet.wake(src_host_id)
         self.fleet.wake(dst_host_id)
         original = self.scheduler.original_intent(intent_id)
-        old = self.fleet.manager_placement(src_host_id, intent_id)
+        src_manager = self.fleet.host(src_host_id).manager
+        old = src_manager.placement(intent_id)
         remapped = self.fleet.remap_intent(original, dst_host_id)
 
-        self.fleet.manager_release(src_host_id, intent_id)
+        src_manager.release(intent_id)
         try:
-            placement = self.fleet.manager_submit(dst_host_id, remapped)
+            placement = self.fleet.host(dst_host_id).manager.submit(remapped)
         except HostNetError as exc:
             try:
-                self.fleet.manager_reinstate(src_host_id, old)
+                src_manager.reinstate(old)
             except HostNetError as rb_exc:
                 # The rollback window closed too (the source failed
                 # between release and reinstate).  The session must not
@@ -170,7 +171,6 @@ class MigrationPlanner:
                 # it on the orphan list for the operator.
                 self.fleet.notify(src_host_id)
                 self.fleet.notify(dst_host_id)
-                self.telemetry_invalidate(src_host_id, dst_host_id)
                 self.scheduler.forget(intent_id)
                 reason = (f"rollback to {src_host_id!r} failed after "
                           f"{dst_host_id!r} rejected it: {rb_exc}")
@@ -187,7 +187,6 @@ class MigrationPlanner:
                     intent_id, f"{reason}; {disposition}") from rb_exc
             self.fleet.notify(src_host_id)
             self.fleet.notify(dst_host_id)
-            self.telemetry_invalidate(src_host_id, dst_host_id)
             self._record(kind, intent_id, src_host_id, None, ok=False,
                          detail=f"{dst_host_id!r} rejected: {exc}")
             raise MigrationError(
@@ -198,14 +197,8 @@ class MigrationPlanner:
         self.scheduler.rebind(intent_id, dst_host_id)
         self.fleet.notify(src_host_id)
         self.fleet.notify(dst_host_id)
-        self.telemetry_invalidate(src_host_id, dst_host_id)
         self._record(kind, intent_id, src_host_id, dst_host_id, ok=True)
         return FleetPlacement(dst_host_id, placement)
-
-    def telemetry_invalidate(self, *host_ids: str) -> None:
-        """Drop cached headrooms of hosts whose reservations just changed."""
-        for host_id in host_ids:
-            self.fleet.telemetry.invalidate(host_id)
 
     # -- escalation from host-local recovery ---------------------------------
 

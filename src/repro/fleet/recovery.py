@@ -233,11 +233,10 @@ class FleetRecoveryController:
             # A pending live-migration entry for this session is
             # superseded: the crash path owns it now.
             self._pending.pop(fp.intent_id, None)
-            self.fleet.manager_release(host_id, fp.intent_id)
+            self.fleet.host(host_id).manager.release(fp.intent_id)
             scheduler.forget(fp.intent_id)
             evacuees.append(intent)
         self.fleet.notify(host_id)
-        self.fleet.telemetry.invalidate(host_id)
         for intent in evacuees:
             self._replace(intent, host_id, attempts=0,
                           first_failed_at=self.fleet.now)

@@ -184,7 +184,6 @@ class ClusterScheduler:
             fleet.notify(host_id)
             if placement is not None:
                 self._bind(intent, host_id)
-                self.telemetry.invalidate(host_id)
                 return FleetPlacement(host_id, placement), len(order)
         return None, len(order)
 
@@ -218,10 +217,9 @@ class ClusterScheduler:
         """Withdraw a fleet-placed intent from its host."""
         host_id = self.host_of(intent_id)
         self.fleet.wake(host_id)
-        self.fleet.manager_release(host_id, intent_id)
+        self.fleet.host(host_id).manager.release(intent_id)
         self.fleet.notify(host_id)  # release schedules enforcement too
         self._unbind(intent_id)
-        self.telemetry.invalidate(host_id)
         self.released_count += 1
 
     # -- placement bookkeeping ----------------------------------------------
@@ -315,7 +313,8 @@ class ClusterScheduler:
         """Every fleet placement, in deterministic intent-id order."""
         return [
             FleetPlacement(host_id,
-                           self.fleet.manager_placement(host_id, intent_id))
+                           self.fleet.host(host_id).manager.placement(
+                               intent_id))
             for intent_id, host_id in sorted(self._host_of.items())
         ]
 

@@ -243,33 +243,55 @@ class HeadroomMatrix:
             bool, len(self.headrooms))
 
 
+class _HostState:
+    """Everything the rollup keeps about one host.
+
+    The link lists are fixed at attach: topology *structure* never changes
+    over a host's lifetime (only link state mutates), so the endpoint
+    incidence and the link classification never need the graph walk
+    again.
+    """
+
+    __slots__ = ("host", "summary", "monitor_healthy", "faulted",
+                 "endpoint_links", "intra_links", "all_links")
+
+    def __init__(self, host: Host) -> None:
+        self.host = host
+        # The cached summary; ``None`` once a subscribed signal fires.
+        self.summary: Optional[HostHeadroom] = None
+        self.monitor_healthy = True
+        # Marked by the fleet fault model (crashed or degraded): reported
+        # unhealthy regardless of the monitor's verdict.
+        self.faulted = False
+        device_keys = canonical_device_keys(host.topology)
+        # [(canonical endpoint key, [incident link ids])]
+        self.endpoint_links: List[tuple] = [
+            (device_keys[device.device_id],
+             [link.link_id
+              for link in host.topology.incident_links(device.device_id)])
+            for device in host.topology.endpoints()
+        ]
+        # Every link (for health counts), and (link, link_id, capacity)
+        # for the placement fabric: intra-host links with capacity > 0.
+        self.all_links = list(host.topology.links())
+        self.intra_links: List[tuple] = [
+            (link, link.link_id, link.capacity)
+            for link in self.all_links
+            if link.link_class is not LinkClass.INTER_HOST
+            and link.capacity > 0
+        ]
+
+
 class FleetTelemetry:
     """Push-invalidated per-host :class:`HostHeadroom` rollups.
 
     Summaries are invalidated by the events that change them
-    (reservation changes, fabric re-solves, monitor verdicts) and
-    recomputed lazily on read.
+    (reservation changes, fabric re-solves, monitor verdicts, fault
+    marks) and recomputed lazily on read.
     """
 
     def __init__(self) -> None:
-        self._hosts: Dict[str, Host] = {}
-        self._cache: Dict[str, HostHeadroom] = {}
-        self._dirty: Dict[str, bool] = {}
-        self._monitor_healthy: Dict[str, bool] = {}
-        # Hosts marked faulted by the fleet fault model (crashed or
-        # degraded): reported unhealthy regardless of monitor verdict.
-        self._faulted: set = set()
-        self._device_keys: Dict[str, Dict[str, str]] = {}
-        # host_id -> [(canonical endpoint key, [incident link ids])].
-        # Topology *structure* is fixed for a host's lifetime (only link
-        # state mutates), so the endpoint incidence never needs the graph
-        # walk after attach.
-        self._endpoint_links: Dict[str, List[tuple]] = {}
-        # host_id -> [(link, link_id, capacity)] for placement-fabric
-        # (intra-host, capacity > 0) links, and the full link list for
-        # health counts — both fixed at attach for the same reason.
-        self._intra_links: Dict[str, List[tuple]] = {}
-        self._all_links: Dict[str, list] = {}
+        self._hosts: Dict[str, _HostState] = {}
         self.refresh_count = 0
         # Bumps on every recompute; the matrix cache key.
         self._version = 0
@@ -284,24 +306,7 @@ class FleetTelemetry:
         Subscribes to every signal that can change the host's summary, so
         reads never need to guess at staleness.
         """
-        self._hosts[host_id] = host
-        self._dirty[host_id] = True
-        self._monitor_healthy[host_id] = True
-        device_keys = canonical_device_keys(host.topology)
-        self._device_keys[host_id] = device_keys
-        self._endpoint_links[host_id] = [
-            (device_keys[device.device_id],
-             [link.link_id
-              for link in host.topology.incident_links(device.device_id)])
-            for device in host.topology.endpoints()
-        ]
-        self._all_links[host_id] = list(host.topology.links())
-        self._intra_links[host_id] = [
-            (link, link.link_id, link.capacity)
-            for link in self._all_links[host_id]
-            if link.link_class is not LinkClass.INTER_HOST
-            and link.capacity > 0
-        ]
+        self._hosts[host_id] = _HostState(host)
         host.manager.on_change(
             lambda hid=host_id: self._mark_dirty(hid))
         host.network.on_recompute(
@@ -311,31 +316,18 @@ class FleetTelemetry:
                 lambda report, hid=host_id: self._on_report(hid, report)
             )
 
-    def detach(self, host_id: str) -> None:
-        """Stop tracking *host_id* (subscriptions become no-ops)."""
-        self._hosts.pop(host_id, None)
-        self._cache.pop(host_id, None)
-        self._dirty.pop(host_id, None)
-        self._monitor_healthy.pop(host_id, None)
-        self._faulted.discard(host_id)
-        self._device_keys.pop(host_id, None)
-        self._endpoint_links.pop(host_id, None)
-        self._intra_links.pop(host_id, None)
-        self._all_links.pop(host_id, None)
-        self._version += 1
-
     def host_ids(self) -> List[str]:
         """Tracked host ids, sorted (the fleet's deterministic order)."""
         return sorted(self._hosts)
 
     def _mark_dirty(self, host_id: str) -> None:
-        if host_id in self._hosts:
-            self._dirty[host_id] = True
+        self._hosts[host_id].summary = None
 
     def _on_report(self, host_id: str, report) -> None:
-        self._monitor_healthy[host_id] = report.healthy
         # A verdict must reach the next placement decision immediately.
-        self._mark_dirty(host_id)
+        state = self._hosts[host_id]
+        state.monitor_healthy = report.healthy
+        state.summary = None
 
     def set_fault(self, host_id: str, faulted: bool) -> None:
         """Mark *host_id* faulted (or clear the mark).
@@ -348,15 +340,14 @@ class FleetTelemetry:
         """
         if host_id not in self._hosts:
             raise UnknownHostError(host_id)
-        if faulted:
-            self._faulted.add(host_id)
-        else:
-            self._faulted.discard(host_id)
-        self._mark_dirty(host_id)
+        state = self._hosts[host_id]
+        state.faulted = faulted
+        state.summary = None
 
     def is_faulted(self, host_id: str) -> bool:
         """Whether the fault model currently marks *host_id* faulted."""
-        return host_id in self._faulted
+        state = self._hosts.get(host_id)
+        return state is not None and state.faulted
 
     # -- the rollup ----------------------------------------------------------
 
@@ -367,17 +358,16 @@ class FleetTelemetry:
         marked the host dirty since the cached summary was built.
         """
         try:
-            host = self._hosts[host_id]
+            state = self._hosts[host_id]
         except KeyError:
             raise UnknownHostError(host_id) from None
         # A deferred (coalesced) re-solve would fire our recompute
-        # listener only when flushed; flush first so the dirty bit is
+        # listener only when flushed; flush first so the dirty mark is
         # accurate before we trust the cache.
-        host.network.flush_recompute()
-        cached = self._cache.get(host_id)
-        if cached is not None and not self._dirty.get(host_id, True):
-            return cached
-        return self._refresh(host_id)
+        state.host.network.flush_recompute()
+        if state.summary is None:
+            self._refresh(host_id, state)
+        return state.summary
 
     def headrooms(self) -> List[HostHeadroom]:
         """Summaries for every host, in deterministic host-id order."""
@@ -400,17 +390,14 @@ class FleetTelemetry:
         the manager's back.
         """
         if host_id is None:
-            for hid in self._hosts:
-                self._dirty[hid] = True
-        else:
+            for state in self._hosts.values():
+                state.summary = None
+        elif host_id in self._hosts:
             self._mark_dirty(host_id)
 
-    def _refresh(self, host_id: str) -> HostHeadroom:
+    def _refresh(self, host_id: str, state: _HostState) -> None:
         """Recompute and cache one host's summary from ground truth."""
-        try:
-            host = self._hosts[host_id]
-        except KeyError:
-            raise UnknownHostError(host_id) from None
+        host = state.host
         manager = host.manager
         reserved_map = manager.ledger.reserved_map
         budget_fraction = manager.admission.headroom
@@ -419,7 +406,7 @@ class FleetTelemetry:
         # outside world is not placement fabric, but its health matters).
         down = 0
         degraded = 0
-        for link in self._all_links[host_id]:
+        for link in state.all_links:
             if not link.up:
                 down += 1
             elif link.effective_capacity < link.capacity:
@@ -437,7 +424,7 @@ class FleetTelemetry:
         free_min = float("inf")
         reserved_peak = 0.0
         link_free: Dict[str, float] = {}  # tightest direction per up link
-        for link, link_id, capacity in self._intra_links[host_id]:
+        for link, link_id, capacity in state.intra_links:
             if not link.up:
                 continue
             budget = capacity * budget_fraction
@@ -468,7 +455,7 @@ class FleetTelemetry:
             link_free[link_id] = lo
 
         attach_free: Dict[str, float] = {}
-        for key, link_ids in self._endpoint_links[host_id]:
+        for key, link_ids in state.endpoint_links:
             frees = [
                 link_free[link_id]
                 for link_id in link_ids
@@ -482,7 +469,7 @@ class FleetTelemetry:
             utilization_peak = max(utilizations.values(), default=0.0)
         else:
             utilization_peak = 0.0  # no flows: nothing to walk
-        summary = HostHeadroom(
+        state.summary = HostHeadroom(
             host_id=host_id,
             updated_at=host.now,
             free_fraction_min=min_frac if n_fracs else 0.0,
@@ -495,15 +482,11 @@ class FleetTelemetry:
             placements=len(manager.placements()),
             down_links=down,
             degraded_links=degraded,
-            healthy=(self._monitor_healthy.get(host_id, True)
-                     and host_id not in self._faulted),
+            healthy=state.monitor_healthy and not state.faulted,
             attach_free=attach_free,
         )
-        self._cache[host_id] = summary
-        self._dirty[host_id] = False
         self.refresh_count += 1
         self._version += 1
-        return summary
 
     def describe(self) -> str:
         """Human-readable one-line-per-host rollup."""

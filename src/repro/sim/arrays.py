@@ -31,11 +31,6 @@ below :data:`DEFAULT_ARRAY_CROSSOVER`.  The crossover was measured on the
 benchmark VM (see ``BENCH_sim_performance.json``): with the running-total
 scalar core the two paths break even around ~256 flows per component; at
 1000 flows the array path is ~4x faster and still widening.
-
-numpy is an optional dependency of this module alone: when it is missing,
-:data:`HAVE_NUMPY` is ``False``, the solver silently keeps the scalar path
-for every component, and :class:`NullInternedProblem` stands in as an
-inert mirror.
 """
 
 from __future__ import annotations
@@ -43,15 +38,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # gate, don't require: the scalar core remains fully functional
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .bandwidth import _ABS_EPSILON, _EPSILON, FlowDemand
-
-#: Whether the vectorized path is available at all.
-HAVE_NUMPY = np is not None
 
 #: Component size (flow count) at which the solver switches from the scalar
 #: to the array core.  Measured break-even on the reference VM is ~256
@@ -202,8 +191,6 @@ def progressive_fill_array(
     instances; the resident solver skips this conversion entirely by
     keeping an :class:`InternedProblem` mirror.
     """
-    if np is None:  # pragma: no cover - numpy-less installs
-        raise RuntimeError("progressive_fill_array requires numpy")
     n = len(flows)
     weights = np.fromiter((f.weight for f in flows), dtype=np.float64, count=n)
     demands = np.fromiter((f.demand for f in flows), dtype=np.float64, count=n)
@@ -246,8 +233,6 @@ class InternedProblem:
     _GROW = 16
 
     def __init__(self) -> None:
-        if np is None:  # pragma: no cover - numpy-less installs
-            raise RuntimeError("InternedProblem requires numpy")
         self._flow_slots: Dict[str, int] = {}
         self._free_flow_slots: List[int] = []
         self._flow_edges: List[Optional[Tuple["np.ndarray", "np.ndarray"]]] = []
@@ -489,40 +474,3 @@ class InternedProblem:
             for i, slot in enumerate(ucons.tolist())
         }
 
-
-class NullInternedProblem:
-    """Inert stand-in used when numpy is unavailable.
-
-    Accepts every mutation silently; the solver never routes a solve to it
-    because :data:`HAVE_NUMPY` gates the array path.
-    """
-
-    structure_version = 0
-
-    def set_capacity(self, cid: str, capacity: float) -> None:
-        pass
-
-    def remove_capacity(self, cid: str) -> None:
-        pass
-
-    remove_constraint = remove_capacity
-
-    def set_constraint_capacity(self, cid: str, capacity: float) -> None:
-        pass
-
-    def set_flow(self, fid, links, demand, weight) -> None:
-        pass
-
-    def set_flow_params(self, fid, demand, weight) -> None:
-        pass
-
-    def remove_flow(self, fid) -> None:
-        pass
-
-    def store_rates(self, fids, rates) -> None:
-        pass
-
-
-def make_interned_problem():
-    """The interned mirror appropriate for this interpreter."""
-    return InternedProblem() if HAVE_NUMPY else NullInternedProblem()

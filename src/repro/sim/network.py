@@ -61,9 +61,6 @@ class FabricNetwork:
             instead of N.  Rate queries flush the pending solve, keeping
             observable rates consistent; only ``Flow.current_rate`` read
             directly between same-instant events can be stale.
-        array_crossover: Forwarded to
-            :class:`~repro.sim.solver.IncrementalMaxMinSolver`: component
-            size at which solves take the vectorized array core.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class FabricNetwork:
         engine: Engine,
         latency_model: Optional[LatencyModel] = None,
         coalesce_recompute: bool = False,
-        array_crossover: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.engine = engine
@@ -87,7 +83,7 @@ class FabricNetwork:
 
         # The resident incremental solver: flow/constraint mutations mark
         # components dirty; _solve() re-solves only those.
-        self._solver = IncrementalMaxMinSolver(array_crossover=array_crossover)
+        self._solver = IncrementalMaxMinSolver()
         for link_id in topology.link_ids():
             cap = topology.link(link_id).effective_capacity
             self._solver.set_capacity(directed_id(link_id, FORWARD), cap)
@@ -421,7 +417,7 @@ class FabricNetwork:
         yield stale utilizations.  Per-direction rates come straight from
         the solver's interned incidence state
         (:meth:`~repro.sim.solver.IncrementalMaxMinSolver.constraint_usage`,
-        one vectorized segment-sum when numpy is available) instead of a
+        one vectorized segment-sum) instead of a
         python sweep over every flow's hops.  With ``clamp`` (the
         default) values are capped at 1.0; ``clamp=False`` exposes
         oversubscription.  ``only=`` restricts the result to the given

@@ -40,8 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from ..trace.recorder import TRACER
 from .arrays import (
     DEFAULT_ARRAY_CROSSOVER,
-    HAVE_NUMPY,
-    make_interned_problem,
+    InternedProblem,
     progressive_fill_array,
 )
 from .bandwidth import (
@@ -100,14 +99,14 @@ class IncrementalMaxMinSolver:
             from the scalar core to the vectorized :mod:`repro.sim.arrays`
             core.  ``None`` uses the measured default; ``0`` forces the
             array path everywhere (tests), a very large value forces the
-            scalar path.  Ignored when numpy is unavailable.
+            scalar path.
     """
 
     def __init__(self, array_crossover: Optional[int] = None) -> None:
         self.array_crossover = (DEFAULT_ARRAY_CROSSOVER
                                 if array_crossover is None
                                 else array_crossover)
-        self._interned = make_interned_problem()
+        self._interned = InternedProblem()
         self._flows: Dict[str, FlowDemand] = {}
         self._flow_order: Dict[str, int] = {}
         self._order_seq = itertools.count()
@@ -152,7 +151,7 @@ class IncrementalMaxMinSolver:
         if not flows:
             return {}
         members, caps = build_problem(flows, capacities, extra_constraints)
-        if HAVE_NUMPY and len(flows) >= DEFAULT_ARRAY_CROSSOVER:
+        if len(flows) >= DEFAULT_ARRAY_CROSSOVER:
             rates = progressive_fill_array(flows, members, caps)
         else:
             rates = progressive_fill(flows, members, caps)
@@ -363,7 +362,7 @@ class IncrementalMaxMinSolver:
         return dict(self._rates)
 
     def _use_array(self, n_flows: int) -> bool:
-        return HAVE_NUMPY and n_flows >= self.array_crossover
+        return n_flows >= self.array_crossover
 
     def _virtual_edges(self) -> List[Tuple[str, List[str]]]:
         """Every virtual constraint's resident membership (array gather)."""
@@ -499,7 +498,7 @@ class IncrementalMaxMinSolver:
         read straight from the interned arrays instead of re-walking every
         flow's hop list in Python.
         """
-        if HAVE_NUMPY and self._flows:
+        if self._flows:
             return self._interned.constraint_usage(
                 list(self._flows), self._virtual_edges()
             )

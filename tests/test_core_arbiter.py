@@ -194,6 +194,23 @@ class TestDynamicArbiter:
             {"pcie-nic0|fwd", "pcie-nic0|rev"}
         assert all("t" in a.caps for a in allocations)
 
+    def test_zero_latency_round_senses_its_own_enforcement(self,
+                                                           cascade_net):
+        # Caps applied synchronously re-solve the live fabric; the next
+        # round must sense the new rates instead of skipping as quiesced.
+        net = cascade_net
+        arbiter = DynamicArbiter(net, decision_latency=0.0,
+                                 work_conserving=False)
+        path = shortest_path(net.topology, "nic0", "dimm0-0")
+        net.start_transfer("t", path, demand=Gbps(200))
+        arbiter.add_floor("t", path.links[0], Gbps(100))
+        arbiter.adjust_once()  # pins t at its floor
+        for allocation in arbiter.adjust_once():
+            link_id, direction = allocation.link_id.split("|")
+            assert allocation.usages["t"] == net.tenant_link_rate(
+                "t", link_id, direction)
+        assert arbiter.skipped_adjustments == 0
+
     def test_directional_floor_manages_one_direction(self, cascade_net):
         arbiter = DynamicArbiter(cascade_net, decision_latency=0.0)
         arbiter.add_floor("t", "pcie-nic0", Gbps(10), direction="fwd")
@@ -201,3 +218,44 @@ class TestDynamicArbiter:
         assert [a.link_id for a in allocations] == ["pcie-nic0|fwd"]
         assert arbiter.floors_on("pcie-nic0", "rev") == {}
         assert arbiter.floors_on("pcie-nic0")["t"] == pytest.approx(Gbps(10))
+
+
+class TestInflightEnforcement:
+    """Enforcement batches still in flight when caps are lifted."""
+
+    @staticmethod
+    def _arbiter_mid_batch(net):
+        # Period 1 ms, latency 100 us: the round at 1 ms decides caps that
+        # land at 1.1 ms; the lifts below happen at 1.05 ms, in between.
+        arbiter = DynamicArbiter(net, period=0.001,
+                                 decision_latency=us(100))
+        path = shortest_path(net.topology, "nic0", "dimm0-0")
+        arbiter.add_floor("victim", "pcie-nic0", Gbps(100))
+        arbiter.register_best_effort("bully")
+        arbiter.start()
+        net.start_transfer("bully", path)
+        net.engine.run_until(0.00105)
+        # Decided, not yet applied.
+        assert net.tenant_link_cap("bully", "pcie-nic0", "fwd") is None
+        return arbiter
+
+    def test_stop_cancels_batches_in_flight(self, cascade_net):
+        arbiter = self._arbiter_mid_batch(cascade_net)
+        arbiter.stop(lift_caps=True)
+        cascade_net.engine.run_until(0.01)
+        for tenant in ("victim", "bully"):
+            for direction in ("fwd", "rev"):
+                assert cascade_net.tenant_link_cap(
+                    tenant, "pcie-nic0", direction) is None
+
+    def test_lift_drops_lifted_caps_from_batches_in_flight(self,
+                                                           cascade_net):
+        arbiter = self._arbiter_mid_batch(cascade_net)
+        arbiter.unregister_best_effort("bully")
+        cascade_net.engine.run_until(0.01)
+        for direction in ("fwd", "rev"):
+            assert cascade_net.tenant_link_cap(
+                "bully", "pcie-nic0", direction) is None
+        # The rest of the batch still applied: the victim stays capped.
+        assert cascade_net.tenant_link_cap(
+            "victim", "pcie-nic0", "fwd") is not None

@@ -34,6 +34,8 @@ from repro.topology.graph import HostTopology
 from repro.topology.routing import k_shortest_paths
 from repro.units import Gbps
 
+from .test_telemetry_reference import assert_matches_reference
+
 CONFIG = FleetChurnConfig(seed=11, horizon=0.08, arrival_rate=1500.0)
 
 
@@ -277,16 +279,18 @@ def test_failed_migration_invalidates_src_and_dst_summaries():
     fleet.submit(kv("moving", bandwidth=Gbps(150)))   # -> host00
     fleet.submit(kv("blocker", bandwidth=Gbps(150)))  # -> host01
     fleet.telemetry.headrooms()  # warm both summaries
-    count = fleet.telemetry.refresh_count
+    before = fleet.telemetry.headroom("host00")
 
     with pytest.raises(MigrationError, match="rejected"):
         fleet.migrate("moving", "host01")
 
-    # Rollback touched the source ledger and probed the destination:
-    # both summaries must recompute on next read.
-    fleet.telemetry.headroom("host00")
-    fleet.telemetry.headroom("host01")
-    assert fleet.telemetry.refresh_count == count + 2
+    # Rollback moved the source ledger (release, then reinstate), so the
+    # source's summary is rebuilt; the rejected destination's ledger
+    # never moved.  Both must read exactly what a from-scratch rollup
+    # of their ground truth says.
+    assert fleet.telemetry.headroom("host00") is not before
+    for host_id in ("host00", "host01"):
+        assert_matches_reference(fleet, host_id, verdicts={})
     assert fleet.scheduler.host_of("moving") == "host00"
 
 

@@ -15,17 +15,13 @@ import random
 
 import pytest
 
-from repro.sim import DEFAULT_ARRAY_CROSSOVER, HAVE_NUMPY, IncrementalMaxMinSolver
-from repro.sim.arrays import make_interned_problem, progressive_fill_array
+from repro.sim import DEFAULT_ARRAY_CROSSOVER, IncrementalMaxMinSolver
+from repro.sim.arrays import InternedProblem, progressive_fill_array
 from repro.sim.bandwidth import (
     Constraint,
     FlowDemand,
     build_problem,
     progressive_fill,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized core requires numpy"
 )
 
 N_SEEDS = 220
@@ -260,7 +256,7 @@ def test_constraint_usage_matches_python_accumulation():
 
 def test_interned_problem_slot_reuse():
     """Removed flows free their slots; re-adding reuses them."""
-    interned = make_interned_problem()
+    interned = InternedProblem()
     interned.set_capacity("c", 10.0)
     for round_no in range(5):
         for i in range(40):
