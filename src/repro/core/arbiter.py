@@ -32,6 +32,7 @@ dip-free, but it strands every idle guarantee (the E6/E9 trade-off).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -105,6 +106,17 @@ def compute_caps(
     """
     if not 0 < utilization_ceiling <= 1:
         raise ValueError("utilization_ceiling must be in (0, 1]")
+    if (work_conserving and demand_aware and (floors or best_effort)
+            and not any(usages.values())):
+        best_effort = set(best_effort)
+        caps = _zero_usage_caps(capacity, floors,
+                                best_effort.difference(floors),
+                                utilization_ceiling, lend_parked_floors)
+        for tenant in best_effort.intersection(floors):
+            # Listed as both, a floor holder keeps the ramp allowance.
+            caps[tenant] = max(caps[tenant],
+                               capacity * _RAMP_ALLOWANCE_FRACTION)
+        return caps
     budget = capacity * utilization_ceiling
     reserved = sum(floors.values())
     spare = max(budget - reserved, 0.0)
@@ -112,19 +124,6 @@ def compute_caps(
     tenants = set(floors) | set(best_effort)
 
     caps: Dict[str, float] = {}
-    if (work_conserving and demand_aware and tenants
-            and not any(usages.values())):
-        # All-idle fast path: every floor is parked and every demand
-        # estimate collapses to the ramp allowance, so the water-fill
-        # reduces to an equal split of the (lent) spare.
-        if lend_parked_floors:
-            spare += reserved
-        share = spare / len(tenants)
-        for tenant in tenants:
-            caps[tenant] = floors.get(tenant, 0.0) + share
-        for tenant in best_effort:
-            caps[tenant] = max(caps[tenant], allowance)
-        return caps
     if not work_conserving:
         for tenant, floor in floors.items():
             caps[tenant] = floor
@@ -169,6 +168,23 @@ def compute_caps(
         caps[tenant] = floors.get(tenant, 0.0) + allocation[tenant]
     for tenant in best_effort:
         caps[tenant] = max(caps[tenant], allowance)
+    return caps
+
+
+def _zero_usage_caps(capacity: float, floors: Dict[str, float],
+                     be_only: Set[str], utilization_ceiling: float,
+                     lend_parked_floors: bool) -> Dict[str, float]:
+    """:func:`compute_caps` (work-conserving, demand-aware) when every
+    usage is zero: every floor is parked, so the water-fill is an equal
+    split of the (lent) spare.  *be_only* holds no floor."""
+    reserved = sum(floors.values())
+    spare = max(capacity * utilization_ceiling - reserved, 0.0)
+    if lend_parked_floors:
+        spare += reserved
+    share = spare / (len(floors) + len(be_only))
+    caps = {tenant: floor + share for tenant, floor in floors.items()}
+    caps.update(dict.fromkeys(
+        be_only, max(share, capacity * _RAMP_ALLOWANCE_FRACTION)))
     return caps
 
 
@@ -258,10 +274,12 @@ class DynamicArbiter:
         demand_aware: bool = True,
         degradation_aware: bool = False,
     ) -> None:
-        if period <= 0:
-            raise ArbiterError(f"period must be > 0, got {period}")
-        if decision_latency < 0:
-            raise ArbiterError("decision_latency must be >= 0")
+        if not 0 < period < math.inf:
+            raise ArbiterError(f"period must be finite and > 0, "
+                               f"got {period}")
+        if not 0 <= decision_latency < math.inf:
+            raise ArbiterError(f"decision_latency must be finite and "
+                               f">= 0, got {decision_latency}")
         self.network = network
         self.period = period
         self.decision_latency = decision_latency
@@ -330,8 +348,9 @@ class DynamicArbiter:
         direction; without it, the guarantee is installed in both
         directions (bidirectional intents, simple callers).
         """
-        if bandwidth <= 0:
-            raise ArbiterError("floor bandwidth must be > 0")
+        if not 0 < bandwidth < math.inf:
+            raise ArbiterError(f"floor bandwidth must be finite and > 0, "
+                               f"got {bandwidth}")
         self.network.topology.link(link_id)  # validate
         self._config_changed()
         for key in self._floor_keys(link_id, direction):
@@ -349,6 +368,9 @@ class DynamicArbiter:
                      bandwidth: float,
                      direction: Optional[str] = None) -> None:
         """Subtract *bandwidth* from a floor (removing it at zero)."""
+        if not 0 < bandwidth < math.inf:
+            raise ArbiterError(f"floor bandwidth must be finite and > 0, "
+                               f"got {bandwidth}")
         self._config_changed()
         for key in self._floor_keys(link_id, direction):
             state = self._links.get(key)
@@ -552,6 +574,9 @@ class DynamicArbiter:
                      self.work_conserving, self.lend_parked_floors,
                      self.demand_aware)
         topology_link = self.network.topology.link
+        best_effort = self._best_effort
+        idle_split = (fabric_idle and self.work_conserving
+                      and self.demand_aware)
         for (link_id, direction), state in self._links.items():
             floors = state.floors
             if not floors:
@@ -566,28 +591,30 @@ class DynamicArbiter:
             sig = (round_sig, capacity, ceiling)
             if state.sig != sig:
                 state.sig = sig
-                tenants = set(floors) | self._best_effort
+                tenants = best_effort.union(floors)
                 tenants.discard(SYSTEM_TENANT)
-                if fabric_idle:
+                be_only = best_effort.difference(floors)
+                if idle_split:
                     usages = dict.fromkeys(tenants, 0.0)
+                    caps = _zero_usage_caps(capacity, floors, be_only,
+                                            ceiling, self.lend_parked_floors)
                 else:
                     usages = {
                         tenant: self.network.tenant_link_rate(
                             tenant, link_id, direction)
                         for tenant in tenants
                     }
-                caps = compute_caps(
-                    capacity=capacity, floors=dict(floors), usages=usages,
-                    best_effort={t for t in self._best_effort
-                                 if t not in floors},
-                    work_conserving=self.work_conserving,
-                    utilization_ceiling=ceiling,
-                    lend_parked_floors=self.lend_parked_floors,
-                    demand_aware=self.demand_aware,
-                )
+                    caps = compute_caps(
+                        capacity=capacity, floors=dict(floors),
+                        usages=usages, best_effort=be_only,
+                        work_conserving=self.work_conserving,
+                        utilization_ceiling=ceiling,
+                        lend_parked_floors=self.lend_parked_floors,
+                        demand_aware=self.demand_aware,
+                    )
                 state.allocation = LinkAllocation(
                     link_id=f"{link_id}|{direction}", capacity=capacity,
-                    floors=dict(floors), usages=usages, caps=dict(caps),
+                    floors=dict(floors), usages=usages, caps=caps,
                 )
                 decided = state.caps
                 for tenant, cap in caps.items():

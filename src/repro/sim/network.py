@@ -262,8 +262,9 @@ class FabricNetwork:
 
     def set_tenant_weight(self, tenant_id: str, weight: float) -> None:
         """Set the fairness weight multiplier for a tenant's flows."""
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"tenant weight must be finite and > 0, "
+                             f"got {weight}")
         self._tenant_weights[tenant_id] = weight
         self._recompute()
 
@@ -279,7 +280,7 @@ class FabricNetwork:
         """
         if link_id not in self._link_bytes:
             raise UnknownLinkError(link_id)
-        if cap < 0:
+        if not cap >= 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         if direction not in (None, FORWARD, REVERSE):
             raise ValueError(f"direction must be fwd/rev/None, "
@@ -292,14 +293,12 @@ class FabricNetwork:
             # fabric (and the arbiter's quiescence check) settle.
             return
         self._tenant_link_caps[key] = cap
+        # With no flows the cap binds nothing: its membership is empty and
+        # the solver constraint absent (flows leaving the fabric drop
+        # themselves from every membership), so the write is the store
+        # above.  _caps_track_flow installs it when a flow arrives.
         if self._flows:
             self._install_cap_constraint(key)
-        else:
-            # No flows: the cap binds nothing, so its membership is empty
-            # and the solver constraint is already absent (flows leaving
-            # the fabric drop themselves from every membership).  It is
-            # (re)installed by _caps_track_flow when a flow arrives.
-            self._cap_members.pop(key, None)
         self._recompute()
 
     def clear_tenant_link_cap(self, tenant_id: str, link_id: str,
@@ -324,7 +323,7 @@ class FabricNetwork:
     def set_flow_demand(self, flow_id: str, demand: float) -> None:
         """Change a flow's offered load (bytes/s) and re-solve."""
         flow = self._active_flow(flow_id)
-        if demand < 0:
+        if not demand >= 0:
             raise ValueError(f"demand must be >= 0, got {demand}")
         flow.demand = demand
         self._recompute()
@@ -332,7 +331,7 @@ class FabricNetwork:
     def set_flow_rate_cap(self, flow_id: str, cap: float) -> None:
         """Cap one flow's rate (bytes/s); ``inf`` removes the cap."""
         flow = self._active_flow(flow_id)
-        if cap < 0:
+        if not cap >= 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         flow.rate_cap = cap
         self._recompute()
@@ -667,7 +666,8 @@ class FabricNetwork:
     def _recompute(self) -> None:
         """Request a re-solve, honouring batching/coalescing modes."""
         if self._batch_depth > 0:
-            self._sync()
+            # Time stands still and rates only move at the flush, which
+            # syncs the byte counters before it solves.
             self._solve_pending = True
             return
         if self.coalesce_recompute:

@@ -1,5 +1,6 @@
 """Incremental solver: equivalence, batching, coalescing, facade."""
 
+import contextlib
 import math
 import random
 
@@ -246,6 +247,67 @@ class TestBatching:
             return {f.flow_id: f.current_rate for f in net.active_flows()}
 
         assert run(batched=True) == run(batched=False)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_contract_matches_unbatched(self, seed):
+        """Cap writes and flow starts/cancels at one instant: inside
+        ``batch()`` they cost one recompute and leave every rate and byte
+        counter equal to the same sequence run unbatched."""
+        pairs = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"),
+                 ("nvme0", "dimm0-0"), ("nic0", "nvme0")]
+        tenants = ["a", "b", "c"]
+        # A cancel syncs the byte counters itself; even seeds leave it out,
+        # so only the flush at batch exit can integrate the interval.
+        cancels = seed % 2 == 1
+
+        def run(batched):
+            rng = random.Random(seed)
+            engine = Engine()
+            net = FabricNetwork(minimal_host(), engine)
+            for i in range(4):
+                src, dst = rng.choice(pairs)
+                net.start_transfer(rng.choice(tenants),
+                                   path_of(net, src, dst),
+                                   demand=Gbps(rng.choice([5, 20, 80])),
+                                   size=rng.choice([None, 1e9]),
+                                   flow_id=f"warm{i}")
+            # Mid-interval: the byte counters were last synced at t=0.
+            engine.run_until(0.003)
+            links = sorted(net.topology.link_ids())
+            before = net.recompute_count
+            with contextlib.ExitStack() as stack:
+                if batched:
+                    stack.enter_context(net.batch())
+                for step in range(8):
+                    op = rng.random()
+                    live = sorted(f.flow_id for f in net.active_flows())
+                    if op < 0.5:
+                        net.set_tenant_link_cap(
+                            rng.choice(tenants), rng.choice(links),
+                            Gbps(rng.choice([1, 10, 40])),
+                            direction=rng.choice(["fwd", "rev", None]))
+                    elif op < 0.85 or not live or not cancels:
+                        src, dst = rng.choice(pairs)
+                        net.start_transfer(rng.choice(tenants),
+                                           path_of(net, src, dst),
+                                           demand=Gbps(rng.choice([5, 50])),
+                                           flow_id=f"new{step}")
+                    else:
+                        net.cancel_flow(rng.choice(live))
+            recomputes = net.recompute_count - before
+            rates = {f.flow_id: f.current_rate for f in net.active_flows()}
+            counters = {
+                link: (net.link_bytes(link),
+                       [net.tenant_link_bytes(t, link) for t in tenants])
+                for link in links
+            }
+            engine.run_until(0.006)
+            later = {link: net.link_bytes(link) for link in links}
+            return recomputes, rates, counters, later
+
+        batched, unbatched = run(True), run(False)
+        assert batched[0] == 1
+        assert batched[1:] == unbatched[1:]
 
 
 # ---------------------------------------------------------------------------
